@@ -29,6 +29,16 @@ numbers compare like with like on whatever machine runs the suite:
   backlog and TCP retransmit stalls dominate — and the resulting
   same-conditions ratio.
 
+A third claim guards session age:
+
+* **Operator calls cost the same on old sessions.**  One session ages
+  through 10^4, 10^5 and 10^6 draws (200k-item pool, batch 8192,
+  binary codec, group-commit WAL); telemetry stays under
+  ``SERVICE_BENCH_MAX_AGED_TELEMETRY`` (default 10 ms) at 10^6 draws,
+  and the checkpoint, restore and checkpoint-event sizes are recorded
+  at each age.  On that pool at 10^6 draws the per-cell CI and weight
+  ESS match the per-observation formulas to rtol 1e-10.
+
 Results stream to ``BENCH_service.json``.
 """
 
@@ -56,6 +66,8 @@ MAX_OVERHEAD = float(os.environ.get("SERVICE_BENCH_MAX_OVERHEAD", "1.75"))
 MAX_OBS_OVERHEAD = float(
     os.environ.get("SERVICE_BENCH_MAX_OBS_OVERHEAD", "1.05"))
 MIN_SPEEDUP = float(os.environ.get("SERVICE_BENCH_MIN_SPEEDUP", "10"))
+MAX_AGED_TELEMETRY = float(
+    os.environ.get("SERVICE_BENCH_MAX_AGED_TELEMETRY", "0.010"))
 N_CLIENTS = int(os.environ.get("SERVICE_BENCH_CLIENTS", "16"))
 OUT_PATH = os.environ.get("SERVICE_BENCH_OUT", "BENCH_service.json")
 
@@ -66,6 +78,8 @@ FLEET_BATCH = 256
 FLEET_ROUNDS = 6  # per client, per tier
 PR4_CLIENTS = 4
 PR4_BATCHES = [64] * 6  # the PR-4 benchmark's exact schedule
+AGES = (10_000, 100_000, 1_000_000)  # session-age sweep, in draws
+AGE_BATCH = 8192
 
 
 def _pool():
@@ -142,7 +156,8 @@ def test_group_commit_overhead(tmp_path):
     # journalled, memory-only and raw loop all on one trajectory.
     np.testing.assert_array_equal(
         np.asarray(session.sampler.history), np.asarray(sampler.history))
-    assert session.sampler.sampled_indices == sampler.sampled_indices
+    np.testing.assert_array_equal(session.sampler.sampled_indices,
+                                  sampler.sampled_indices)
     assert session.estimate == memory_session.estimate
 
     overhead = group_commit_seconds / memory_seconds
@@ -511,6 +526,133 @@ def test_sharded_tier_speedup_over_single_process(tmp_path):
         f"sharded tier is only {speedup:.1f}x the PR-4 baseline "
         f"(floor {MIN_SPEEDUP:g}x)"
     )
+
+
+# -- session age -----------------------------------------------------------
+
+def _aged_pool(n_items: int = 200_000, match_share: float = 0.005):
+    """A labelling pool like the repository benchmark's: 0.5% matches,
+    noisy scores, predictions thresholded at 0.5."""
+    rng = np.random.default_rng(2024)
+    truth = np.zeros(n_items, dtype=np.int8)
+    truth[rng.choice(n_items, size=int(n_items * match_share),
+                     replace=False)] = 1
+    centre = np.where(truth == 1, 0.68, 0.30)
+    scores = np.clip(centre + rng.normal(0.0, 0.13, n_items), 0.0, 1.0)
+    return truth, (scores >= 0.5).astype(np.int8), scores
+
+
+def _best_of(call, reps: int = REPS) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_session_age_sweep(tmp_path):
+    """Telemetry, checkpoint and restore as one session ages.
+
+    Each checkpoint journals the rows drawn since the previous one, so
+    its event holds the new rows plus the sampler state, which is
+    constant-size but for the label cache (O(distinct labels)); a
+    second checkpoint straight after writes no rows at all.  The journal is
+    flushed before each checkpoint so the checkpoint event lands in a
+    shard of its own, whose size is the recorded event size."""
+    truth, predictions, scores = _aged_pool()
+    directory = tmp_path / "aged"
+
+    def wal_factory(path):
+        return GroupCommitWAL(path, codec="binary", max_batch=2 * WAL_WINDOW)
+
+    session = EvaluationSession.create(
+        predictions, scores, sampler="oasis",
+        sampler_kwargs={"n_strata": 30}, seed=3, directory=directory,
+        wal_factory=wal_factory)
+    rows = []
+    for age in AGES:
+        while len(session.sampler.history) < age:
+            batch = min(AGE_BATCH, age - len(session.sampler.history))
+            proposal = session.propose(batch)
+            session.ingest(proposal["ticket"],
+                           truth[proposal["pending"]].tolist())
+        session.wal.flush()
+        telemetry = _best_of(session.telemetry)
+        start = time.perf_counter()
+        seq = session.checkpoint()
+        checkpoint = time.perf_counter() - start
+        event = next(directory.glob(f"events/e{seq:08d}-checkpoint.bin"))
+        repeat_seq = session.checkpoint()
+        repeat = next(
+            directory.glob(f"events/e{repeat_seq:08d}-checkpoint.bin"))
+        restore = _best_of(lambda: EvaluationSession.restore(
+            directory, wal_factory=wal_factory), reps=2)
+        rows.append({
+            "draws": age,
+            "telemetry_seconds": telemetry,
+            "checkpoint_seconds": checkpoint,
+            "checkpoint_event_bytes": event.stat().st_size,
+            "repeat_checkpoint_event_bytes": repeat.stat().st_size,
+            "restore_seconds": restore,
+        })
+        print(f"\nage {age:>9,} draws: telemetry {telemetry * 1e3:.2f} ms, "
+              f"checkpoint {checkpoint * 1e3:.1f} ms "
+              f"({event.stat().st_size / 2**20:.2f} MiB; repeat "
+              f"{repeat.stat().st_size / 2**10:.1f} KiB), restore "
+              f"{restore * 1e3:.0f} ms")
+    restored = EvaluationSession.restore(directory, wal_factory=wal_factory)
+    np.testing.assert_array_equal(restored.sampler.history,
+                                  session.sampler.history)
+    assert restored.telemetry() == session.telemetry()
+    _merge_report({"session_age": {
+        "pool_items": len(truth), "batch": AGE_BATCH, "codec": "binary",
+        "ages": rows}})
+    assert rows[-1]["telemetry_seconds"] < MAX_AGED_TELEMETRY, (
+        f"telemetry takes {rows[-1]['telemetry_seconds'] * 1e3:.1f} ms at "
+        f"{AGES[-1]:,} draws (ceiling {MAX_AGED_TELEMETRY * 1e3:g} ms)")
+
+
+def test_aged_ci_and_ess_match_per_observation_formulas():
+    """At 10^6 OASIS draws on the aged pool, the per-cell CI half-width
+    and weight ESS equal the per-observation formulas to rtol 1e-10."""
+    from repro.measures.ratio import LinearRatioMeasure
+
+    truth, predictions, scores = _aged_pool()
+    for measure in ("fmeasure", "recall", "balanced_accuracy", "wracc"):
+        sampler = SAMPLER_KINDS["oasis"](
+            predictions, scores, DeterministicOracle(truth), n_strata=30,
+            measure=measure, random_state=5, record_diagnostics=True)
+        sampler.sample(AGES[-1], batch_size=AGE_BATCH)
+        weights = np.asarray(sampler.weight_history)
+        indices = sampler.sampled_indices
+        labels = truth[indices].astype(float)
+        preds = predictions[indices].astype(float)
+        g_hat, t = sampler.estimate, len(weights)
+        target = sampler.measure
+        if isinstance(target, LinearRatioMeasure):
+            g_num, g_den = target.observation_statistics(labels, preds)
+            b_bar = float(np.sum(weights * g_den)) / t
+            influence = weights * (g_num - g_hat * g_den)
+            variance = float(np.mean(influence**2) / (t * b_bar**2))
+        else:
+            moments = target.observation_moments(labels, preds, weights)
+            mean_moments = moments.sum(axis=0) / t
+            gradient = target.moment_gradient(*mean_moments)
+            influence = moments @ gradient - float(mean_moments @ gradient)
+            variance = float(np.mean(influence**2) / t)
+        low, high = sampler.confidence_interval()
+        ess = float(np.sum(weights)) ** 2 / float(np.sum(weights**2))
+        estimator = sampler._estimator
+        print(f"\n{measure}: variance rel diff "
+              f"{abs(estimator.variance_estimate() / variance - 1):.2e}, "
+              f"ESS rel diff {abs(estimator.weight_ess() / ess - 1):.2e}")
+        np.testing.assert_allclose(estimator.variance_estimate(), variance,
+                                   rtol=1e-10)
+        np.testing.assert_allclose((high - low) / 2,
+                                   1.959963984540054 * np.sqrt(variance),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(estimator.weight_ess(), ess, rtol=1e-10)
 
 
 def _merge_report(entry: dict) -> None:

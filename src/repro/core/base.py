@@ -56,9 +56,14 @@ from repro.utils import (
 
 __all__ = ["BaseEvaluationSampler"]
 
-#: Version stamp of the sampler snapshot layout.  Version 2 records the
-#: target measure spec; version-1 (alpha-only) snapshots still load.
-STATE_FORMAT_VERSION = 2
+#: Version stamp of the sampler snapshot layout.  Version 3 holds the
+#: trajectory as arrays and the estimator as per-cell sums; version-2
+#: (per-observation log) and version-1 (alpha-only) snapshots still load.
+STATE_FORMAT_VERSION = 3
+
+#: The per-draw trajectory columns and their dtypes.
+TRAJECTORY = {"history": np.float64, "budget_history": np.int64,
+              "sampled_indices": np.int64}
 
 
 class BaseEvaluationSampler(abc.ABC):
@@ -98,6 +103,10 @@ class BaseEvaluationSampler(abc.ABC):
         Distinct labels consumed after every iteration; plotting
         ``history`` against ``budget_history`` gives the paper's
         label-budget curves.
+    sampled_indices:
+        Pool index drawn at every iteration.  The three trajectories
+        are read-only NumPy arrays (24 bytes per draw), views of
+        capacity-doubling buffers that only :meth:`_record` appends to.
     queried_labels:
         Cache of oracle labels by pool index.
     """
@@ -128,9 +137,7 @@ class BaseEvaluationSampler(abc.ABC):
         # batched path can resolve cache hits with one gather instead
         # of a Python dict probe per draw.
         self._label_cache = np.full(len(predictions), -1, dtype=np.int8)
-        self.history: list[float] = []
-        self.budget_history: list[int] = []
-        self.sampled_indices: list[int] = []
+        self._load_trajectory({name: () for name in TRAJECTORY})
 
     @property
     def n_items(self) -> int:
@@ -148,9 +155,47 @@ class BaseEvaluationSampler(abc.ABC):
 
     @property
     def estimate(self) -> float:
-        if not self.history:
+        if not self._n_draws:
             return float("nan")
-        return self.history[-1]
+        return float(self._trajectory["history"][self._n_draws - 1])
+
+    def _column(self, name: str) -> np.ndarray:
+        # Entries below _n_draws are never rewritten, so the view is a
+        # stable snapshot even after later draws or a buffer regrowth.
+        view = self._trajectory[name][:self._n_draws]
+        view.flags.writeable = False
+        return view
+
+    history = property(lambda self: self._column("history"))
+    budget_history = property(lambda self: self._column("budget_history"))
+    sampled_indices = property(lambda self: self._column("sampled_indices"))
+
+    def _record(self, indices, estimates, new_mask=None) -> None:
+        """Append one draw (scalars) or a batch (aligned arrays; then
+        ``new_mask`` from :meth:`_apply_labels` gives the budgets)."""
+        budgets = self.labels_consumed
+        if new_mask is not None:
+            budgets = budgets - int(new_mask.sum()) + np.cumsum(new_mask)
+        start = self._n_draws
+        stop = start + np.size(indices)
+        for name, values in zip(TRAJECTORY, (estimates, budgets, indices)):
+            buffer = self._trajectory[name]
+            if stop > len(buffer):
+                grown = np.empty(max(stop, 2 * len(buffer)), buffer.dtype)
+                grown[:start] = buffer[:start]
+                self._trajectory[name] = buffer = grown
+            buffer[start:stop] = values
+        self._n_draws = stop
+
+    def _load_trajectory(self, columns: dict) -> None:
+        """Replace the trajectory with ``columns`` (one array per name)."""
+        self._n_draws = len(columns["history"])
+        self._trajectory = {}
+        for name, dtype in TRAJECTORY.items():
+            # Young samplers start small; the buffers double as they fill.
+            buffer = np.empty(max(self._n_draws, 256), dtype)
+            buffer[:self._n_draws] = columns[name]
+            self._trajectory[name] = buffer
 
     def _query_label(self, index: int) -> int:
         """Oracle label for ``index`` with caching (footnote 5)."""
@@ -421,7 +466,9 @@ class BaseEvaluationSampler(abc.ABC):
         and every subsequent draw, estimate and history entry is
         bit-identical to the snapshotted sampler continuing uninterrupted.
 
-        The returned dict contains live NumPy arrays; pass it through
+        The returned dict contains live NumPy arrays (the trajectory
+        columns are the read-only views :attr:`history` and friends
+        return, not copies); pass it through
         :func:`repro.service.codec.encode_state` for a JSON-safe form.
         """
         indices = np.fromiter(self.queried_labels.keys(), dtype=np.int64,
@@ -436,9 +483,7 @@ class BaseEvaluationSampler(abc.ABC):
             "rng": rng_state_dict(self.rng),
             "queried_indices": indices,
             "queried_label_values": labels,
-            "history": list(self.history),
-            "budget_history": list(self.budget_history),
-            "sampled_indices": list(self.sampled_indices),
+            **{name: self._column(name) for name in TRAJECTORY},
         }
         state.update(self._extra_state())
         return state
@@ -452,7 +497,7 @@ class BaseEvaluationSampler(abc.ABC):
         :func:`repro.service.codec.decode_state`.
         """
         version = state.get("format_version")
-        if version not in (1, STATE_FORMAT_VERSION):
+        if version not in (1, 2, STATE_FORMAT_VERSION):
             raise ValueError(f"unsupported sampler state version {version!r}")
         if state.get("class") != type(self).__name__:
             raise ValueError(
@@ -486,7 +531,5 @@ class BaseEvaluationSampler(abc.ABC):
         self._label_cache = np.full(self.n_items, -1, dtype=np.int8)
         if indices.size:
             self._label_cache[indices] = labels.astype(np.int8)
-        self.history = [float(v) for v in state["history"]]
-        self.budget_history = [int(v) for v in state["budget_history"]]
-        self.sampled_indices = [int(v) for v in state["sampled_indices"]]
+        self._load_trajectory(state)
         self._load_extra_state(state)

@@ -40,6 +40,9 @@ __all__ = [
     "sample_measure_history",
 ]
 
+#: Label and prediction of each (l, lhat) cell, indexed ``2 * l + lhat``.
+_CELLS_L, _CELLS_P = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+
 
 class AISEstimator:
     """Online ratio-of-sums estimator for any ratio measure.
@@ -54,9 +57,10 @@ class AISEstimator:
         The target :class:`~repro.measures.ratio.RatioMeasure` (or a
         kind name / spec dict); defaults to ``FMeasure(0.5)``.
     track_observations:
-        Keep the per-observation (weight, label, prediction) triples so
-        delta-method confidence intervals can be computed on demand
-        (:meth:`confidence_interval`).  Costs three floats per update.
+        Keep the count, sum of weights and sum of squared weights of
+        each (l, lhat) cell so delta-method confidence intervals
+        (:meth:`confidence_interval`) and the weight ESS can be computed
+        on demand.  Twelve floats, however many updates.
     """
 
     def __init__(self, alpha: float | None = None, *, measure=None,
@@ -68,7 +72,8 @@ class AISEstimator:
         self._weighted_true = 0.0  # sum w * l
         self._weighted_count = 0.0  # sum w
         self.n_observations = 0
-        self._observations: list[tuple[float, float, float]] = []
+        # Rows: count, sum w, sum w^2; columns: the cells 2 * l + lhat.
+        self._cells = np.zeros((3, 4))
 
     @property
     def alpha(self):
@@ -87,7 +92,8 @@ class AISEstimator:
         self._weighted_count += weight
         self.n_observations += 1
         if self.track_observations:
-            self._observations.append((weight, label, prediction))
+            self._cells[:, 2 * int(label) + int(prediction)] += (
+                1.0, weight, weight * weight)
 
     def update_batch(self, labels, predictions, weights=None) -> np.ndarray:
         """Fold in a batch of observations with one vectorised update.
@@ -125,33 +131,31 @@ class AISEstimator:
         if len(labels) == 0:
             return np.zeros(0)
 
-        # Cumulate with the running sum as the first term so additions
+        # Cumulate with the running sums as the first row so additions
         # happen in exactly the sequential left-to-right order — the
         # post-batch state is bit-identical to a sequential replay.
-        def running(start, contributions):
-            return np.cumsum(np.concatenate([[start], contributions]))[1:]
-
-        tp_cum = running(self._weighted_tp, weights * labels * predictions)
-        pred_cum = running(self._weighted_pred, weights * predictions)
-        true_cum = running(self._weighted_true, weights * labels)
-        count_cum = running(self._weighted_count, weights)
+        start = [self._weighted_tp, self._weighted_pred,
+                 self._weighted_true, self._weighted_count]
+        moments = np.cumsum(np.vstack([
+            start, self.measure.observation_moments(labels, predictions, weights)
+        ]), axis=0)[1:]
         trajectory = np.asarray(
-            self.measure.value_from_moments(
-                tp_cum, pred_cum, true_cum, count_cum
-            ),
-            dtype=float,
-        )
-
-        self._weighted_tp = float(tp_cum[-1])
-        self._weighted_pred = float(pred_cum[-1])
-        self._weighted_true = float(true_cum[-1])
-        self._weighted_count = float(count_cum[-1])
+            self.measure.value_from_moments(*moments.T), dtype=float)
+        (self._weighted_tp, self._weighted_pred, self._weighted_true,
+         self._weighted_count) = moments[-1].tolist()
         self.n_observations += len(labels)
         if self.track_observations:
-            self._observations.extend(
-                zip(weights.tolist(), labels.tolist(), predictions.tolist())
-            )
+            self._fold_cells(labels, predictions, weights)
         return trajectory
+
+    def _fold_cells(self, labels, predictions, weights) -> None:
+        # np.add.at is unbuffered and adds in index (draw) order, so the
+        # per-cell sums are bitwise those of an update() loop.
+        cells = (2 * labels + predictions).astype(np.intp)
+        for row, values in zip(
+            self._cells, (np.ones_like(weights), weights, weights * weights)
+        ):
+            np.add.at(row, cells, values)
 
     def measure_value(self, measure=None) -> float:
         """Evaluate any ratio measure at the current moment sums.
@@ -210,7 +214,9 @@ class AISEstimator:
         means) the first-order expansion gives
         ``Var(G) ~ mean[(w (g_num - G g_den))^2] / (T B^2)``; for
         non-linear measures the full gradient form
-        ``mean[(grad . (w x - s))^2] / T`` is used.  Requires
+        ``mean[(grad . (w x - s))^2] / T`` is used.  ``g_num``, ``g_den``
+        and ``x`` are constant within each (l, lhat) cell, so both means
+        are evaluated from the per-cell sums.  Requires
         ``track_observations=True``; returns NaN while the estimate is
         undefined or the measure's denominator mass is zero (degenerate
         pools never raise).
@@ -223,25 +229,26 @@ class AISEstimator:
         g_hat = self.measure_value(measure)
         if np.isnan(g_hat) or self.n_observations == 0:
             return float("nan")
-        obs = np.asarray(self._observations)
-        weights, labels, preds = obs[:, 0], obs[:, 1], obs[:, 2]
+        count, weight, square = self._cells
         t = self.n_observations
         if isinstance(measure, LinearRatioMeasure):
-            g_num, g_den = measure.observation_statistics(labels, preds)
-            b_bar = float(np.sum(weights * g_den)) / t
+            g_num, g_den = measure.observation_statistics(_CELLS_L, _CELLS_P)
+            b_bar = float(weight @ g_den) / t
             if b_bar <= 0:
                 return float("nan")
-            influence = weights * (g_num - g_hat * g_den)
-            return float(np.mean(influence**2) / (t * b_bar**2))
-        moments = measure.observation_moments(labels, preds, weights)
-        mean_moments = moments.sum(axis=0) / t
+            residual = g_num - g_hat * g_den
+            return float(square @ residual**2) / t / (t * b_bar**2)
+        moments = measure.observation_moments(_CELLS_L, _CELLS_P, np.ones(4))
+        mean_moments = weight @ moments / t
         gradient = np.asarray(
             measure.moment_gradient(*mean_moments), dtype=float
         )
         if not np.all(np.isfinite(gradient)):
             return float("nan")
-        influence = moments @ gradient - float(mean_moments @ gradient)
-        return float(np.mean(influence**2) / t)
+        # Per cell, sum_i (w_i a - m)^2 = a^2 sum w^2 - 2 a m sum w + n m^2.
+        a, m = moments @ gradient, float(mean_moments @ gradient)
+        total = square @ a**2 - 2.0 * m * (weight @ a) + m * m * count.sum()
+        return float(total) / t / t
 
     def confidence_interval(self, level: float = 0.95,
                             alpha: float | None = None, *,
@@ -278,15 +285,10 @@ class AISEstimator:
         """
         if not self.track_observations:
             raise RuntimeError("weight_ess requires track_observations=True")
-        if not self._observations:
-            return 0.0
-        weights = np.asarray(
-            [observation[0] for observation in self._observations],
-            dtype=float)
-        square_sum = float(np.sum(weights**2))
+        square_sum = float(self._cells[2].sum())
         if square_sum <= 0.0:
             return 0.0
-        total = float(np.sum(weights))
+        total = float(self._cells[1].sum())
         return total * total / square_sum
 
     def state(self) -> dict:
@@ -306,21 +308,17 @@ class AISEstimator:
         snapshot-restore contract of the serving layer: restoring the
         returned dict into a fresh estimator reproduces every future
         estimate bit for bit, including the delta-method confidence
-        intervals (the tracked observations ride along).
+        intervals (the per-cell sums ride along).
 
-        Format version 2 records the measure spec and the total-weight
-        moment; version 1 (alpha-only) snapshots are still loadable —
-        see :meth:`load_state_dict`.
+        Format version 3 records the measure spec and the per-cell
+        sums; versions 1 (alpha-only) and 2 (per-observation log) still
+        load — see :meth:`load_state_dict`.
         """
         state = dict(self.state())
-        state["format_version"] = 2
+        state["format_version"] = 3
         state["measure"] = self.measure.spec()
         state["track_observations"] = self.track_observations
-        state["observations"] = (
-            np.asarray(self._observations, dtype=float).reshape(-1, 3)
-            if self.track_observations
-            else np.zeros((0, 3))
-        )
+        state["cells"] = self._cells.copy()
         return state
 
     def _check_measure(self, captured) -> None:
@@ -333,19 +331,22 @@ class AISEstimator:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
 
+        Version-1 and -2 snapshots carry the per-observation log, which
+        is folded into the per-cell sums in draw order, so the migrated
+        estimator continues bitwise like one that kept the sums.
         Version-1 (alpha-only) snapshots migrate transparently: the
         measure is reconstructed as ``FMeasure(alpha)`` and the missing
-        total-weight moment is rebuilt from the tracked observations
-        when present (by the same sequential accumulation the live
-        estimator performed, so the restore stays bit-identical) or
-        marked NaN otherwise — in which case measures that need the
-        total moment (accuracy, specificity, ...) read NaN until reset,
-        while the F family is unaffected.
+        total-weight moment is rebuilt from the log by the same
+        sequential accumulation the live estimator performed (so the
+        restore stays bit-identical) or marked NaN without a log — in
+        which case measures that need the total moment (accuracy,
+        specificity, ...) read NaN until reset, while the F family is
+        unaffected.
         """
         version = state.get("format_version")
         if version == 1:
             captured = FMeasure(float(state["alpha"]))
-        elif version == 2:
+        elif version in (2, 3):
             captured = measure_from_spec(state["measure"])
         else:
             raise ValueError(f"unsupported estimator state version {version!r}")
@@ -355,15 +356,16 @@ class AISEstimator:
         self._weighted_true = float(state["weighted_true"])
         self.n_observations = int(state["n_observations"])
         self.track_observations = bool(state["track_observations"])
-        observations = np.asarray(state["observations"], dtype=float).reshape(-1, 3)
-        self._observations = [tuple(row) for row in observations.tolist()]
+        self._cells = np.zeros((3, 4))
+        if version == 3:
+            self._cells[:] = state["cells"]
+        else:
+            log = np.asarray(state["observations"], dtype=float).reshape(-1, 3)
+            self._fold_cells(log[:, 1], log[:, 2], log[:, 0])
         if version >= 2:
             self._weighted_count = float(state["weighted_count"])
-        elif self.track_observations and len(self._observations) == self.n_observations:
-            total = 0.0
-            for row in self._observations:
-                total += row[0]
-            self._weighted_count = total
+        elif self.track_observations and len(log) == self.n_observations:
+            self._weighted_count = float(np.cumsum(np.append(0.0, log[:, 0]))[-1])
         elif self.n_observations == 0:
             self._weighted_count = 0.0
         else:
@@ -375,7 +377,7 @@ class AISEstimator:
         self._weighted_true = 0.0
         self._weighted_count = 0.0
         self.n_observations = 0
-        self._observations.clear()
+        self._cells[:] = 0.0
 
 
 def sample_measure_history(labels, predictions, weights=None, *,
@@ -400,13 +402,9 @@ def sample_measure_history(labels, predictions, weights=None, *,
     if not (len(labels) == len(predictions) == len(weights)):
         raise ValueError("labels, predictions and weights must share length")
 
-    tp = np.cumsum(weights * labels * predictions)
-    pred = np.cumsum(weights * predictions)
-    true = np.cumsum(weights * labels)
-    count = np.cumsum(weights)
-    return np.asarray(
-        measure.value_from_moments(tp, pred, true, count), dtype=float
-    )
+    moments = np.cumsum(
+        measure.observation_moments(labels, predictions, weights), axis=0)
+    return np.asarray(measure.value_from_moments(*moments.T), dtype=float)
 
 
 def sample_f_measure_history(labels, predictions, weights=None,

@@ -200,9 +200,7 @@ class OASISSampler(BaseEvaluationSampler):
         if not np.isnan(estimate):
             self._current_estimate = estimate
 
-        self.sampled_indices.append(index)
-        self.history.append(estimate)
-        self.budget_history.append(self.labels_consumed)
+        self._record(index, estimate)
         if self.record_diagnostics:
             # Snapshots must be copies owned by the history: aliasing
             # live model state would let later updates silently rewrite
@@ -251,11 +249,7 @@ class OASISSampler(BaseEvaluationSampler):
         if not np.isnan(estimate):
             self._current_estimate = float(estimate)
 
-        self.sampled_indices.extend(int(i) for i in indices)
-        self.history.extend(trajectory.tolist())
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record(indices, trajectory, new_mask)
         if self.record_diagnostics:
             pi = np.array(self.model.posterior_mean(), copy=True)
             v_snapshot = np.array(context["v"], copy=True)

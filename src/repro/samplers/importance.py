@@ -141,10 +141,7 @@ class ImportanceSampler(BaseEvaluationSampler):
         prediction = int(self.predictions[index])
         weight = self._uniform[index] / self._instrumental[index]
         self._estimator.update(label, prediction, weight)
-
-        self.sampled_indices.append(index)
-        self.history.append(self._estimator.estimate)
-        self.budget_history.append(self.labels_consumed)
+        self._record(index, self._estimator.estimate)
 
     def _propose_batch(self, batch_size: int) -> dict:
         """Batched categorical draws over the pool.
@@ -165,12 +162,7 @@ class ImportanceSampler(BaseEvaluationSampler):
         predictions = self.predictions[indices]
         weights = self._uniform[indices] / self._instrumental[indices]
         trajectory = self._estimator.update_batch(labels, predictions, weights)
-
-        self.sampled_indices.extend(int(i) for i in indices)
-        self.history.extend(trajectory.tolist())
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record(indices, trajectory, new_mask)
 
     def _extra_state(self) -> dict:
         return {"estimator": self._estimator.state_dict()}

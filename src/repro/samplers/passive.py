@@ -54,10 +54,7 @@ class PassiveSampler(BaseEvaluationSampler):
         prediction = int(self.predictions[index])
         # Uniform sampling from the uniform target: unit weights.
         self._estimator.update(label, prediction, 1.0)
-
-        self.sampled_indices.append(index)
-        self.history.append(self._estimator.estimate)
-        self.budget_history.append(self.labels_consumed)
+        self._record(index, self._estimator.estimate)
 
     def _propose_batch(self, batch_size: int) -> dict:
         """Batched uniform draws: one RNG call proposes the whole block."""
@@ -69,12 +66,7 @@ class PassiveSampler(BaseEvaluationSampler):
         trajectory = self._estimator.update_batch(
             labels, predictions, np.ones(len(indices))
         )
-
-        self.sampled_indices.extend(int(i) for i in indices)
-        self.history.extend(trajectory.tolist())
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        self._record(indices, trajectory, new_mask)
 
     def _extra_state(self) -> dict:
         return {"estimator": self._estimator.state_dict()}

@@ -115,8 +115,13 @@ class StratifiedSampler(BaseEvaluationSampler):
             tp, predicted, actual, self._total_weight, clamp=False
         )
 
+    def _stratum_probabilities(self) -> np.ndarray:
+        """Stratum draw probabilities: proportional allocation."""
+        return self._weights
+
     def _step(self) -> None:
-        stratum = int(self.rng.choice(self.n_strata, p=self._weights))
+        stratum = int(
+            self.rng.choice(self.n_strata, p=self._stratum_probabilities()))
         index = self.strata.sample_in_stratum(stratum, self.rng)
         label = self._query_label(index)
         prediction = int(self.predictions[index])
@@ -124,15 +129,18 @@ class StratifiedSampler(BaseEvaluationSampler):
         self._n_sampled[stratum] += 1
         self._sum_tp[stratum] += label * prediction
         self._sum_true[stratum] += label
-
-        self.sampled_indices.append(index)
-        self.history.append(self._stratified_estimate())
-        self.budget_history.append(self.labels_consumed)
+        self._record(index, self._stratified_estimate())
 
     def _propose_batch(self, batch_size: int) -> dict:
-        """Batched proportional draws: strata then items, vectorised."""
+        """Batched draws, strata then items, vectorised.
+
+        The stratum probabilities are computed once per batch; for an
+        adaptive allocation (:class:`~repro.samplers.oss.OSSSampler`)
+        that is the block-adaptive relaxation OASIS uses for its
+        instrumental distribution.
+        """
         strata_drawn = self.rng.choice(
-            self.n_strata, p=self._weights, size=batch_size
+            self.n_strata, p=self._stratum_probabilities(), size=batch_size
         )
         indices = self.strata.sample_in_strata(strata_drawn, self.rng)
         return {"indices": indices, "strata": strata_drawn}
@@ -147,17 +155,14 @@ class StratifiedSampler(BaseEvaluationSampler):
         indices = context["indices"]
         strata_drawn = context["strata"]
         predictions = self.predictions[indices]
-
-        self.sampled_indices.extend(int(i) for i in indices)
-        consumed = self.labels_consumed
-        budgets = consumed - int(new_mask.sum()) + np.cumsum(new_mask)
-        self.budget_history.extend(int(b) for b in budgets)
+        estimates = np.empty(len(indices))
         for t in range(len(indices)):
             stratum = strata_drawn[t]
             self._n_sampled[stratum] += 1
             self._sum_tp[stratum] += labels[t] * predictions[t]
             self._sum_true[stratum] += labels[t]
-            self.history.append(self._stratified_estimate())
+            estimates[t] = self._stratified_estimate()
+        self._record(indices, estimates, new_mask)
 
     def _extra_state(self) -> dict:
         return {

@@ -91,6 +91,8 @@ class SessionManager:
             "Sessions restored from their journal.")
         self._resident_gauge = self.metrics.gauge(
             "oasis_resident_sessions", "Sessions currently in memory.")
+        # Sessions whose per-session gauge series the last scrape set.
+        self._gauged_sessions: set[str] = set()
         self._registry_lock = threading.RLock()
         self._sessions: dict[str, EvaluationSession] = {}
         self._last_used: dict[str, float] = {}
@@ -355,9 +357,11 @@ class SessionManager:
 
         Estimator telemetry (current estimate, CI width, labels
         consumed, weight-ESS) is pulled when ``/metrics`` is scraped
-        rather than pushed on every ingest: confidence intervals cost a
-        pass over the observation history, which has no business on the
-        hot path.
+        rather than pushed on every ingest; each session's telemetry
+        costs O(1).  The gauges cover resident sessions only: the series
+        of a session evicted, closed, drained or discarded since the
+        last scrape are dropped.  (Per-session counters stay, keeping
+        their monotone contract.)
         """
         estimate_gauge = self.metrics.gauge(
             "oasis_session_estimate",
@@ -373,15 +377,18 @@ class SessionManager:
             "oasis_session_weight_ess",
             "Kish effective sample size of the importance weights, per "
             "resident session.", ("session",))
+        gauges = (estimate_gauge, ci_gauge, labels_gauge, ess_gauge)
         with self._registry_lock:
             sessions = list(self._sessions.values())
             self._resident_gauge.set(len(sessions))
+        gauged = set()
         for session in sessions:
             try:
                 telemetry = session.telemetry()
             except Exception:  # a racing close must not fail a scrape
                 continue
             sid = telemetry["session_id"]
+            gauged.add(sid)
             labels_gauge.set(telemetry["labels_consumed"], session=sid)
             if telemetry["estimate"] is not None:
                 estimate_gauge.set(telemetry["estimate"], session=sid)
@@ -389,3 +396,8 @@ class SessionManager:
                 ci_gauge.set(telemetry["ci_width"], session=sid)
             if telemetry["weight_ess"] is not None:
                 ess_gauge.set(telemetry["weight_ess"], session=sid)
+        with self._registry_lock:
+            stale, self._gauged_sessions = self._gauged_sessions - gauged, gauged
+        for sid in stale:
+            for gauge in gauges:
+                gauge.remove(session=sid)

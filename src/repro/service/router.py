@@ -223,8 +223,9 @@ class ShardClient:
             except OSError:
                 pass
         pending, self._pending = self._pending, {}
+        body = json.dumps({"error": reason}).encode("utf-8")
         for waiter in pending.values():
-            waiter.response = (503, {"error": reason}, 0.1)
+            waiter.response = (503, body, 0.1)
             waiter.event.set()
 
     def _ensure_connected(self):
@@ -267,13 +268,9 @@ class ShardClient:
                 return
             waiter = self._pending.pop(header.get("id"), None)
             if waiter is not None:
-                try:
-                    payload = json.loads(body) if body else {}
-                except json.JSONDecodeError:
-                    payload = {"error": "shard returned malformed JSON"}
                 waiter.response = (
                     int(header.get("status", 500)),
-                    payload,
+                    body,
                     header.get("retry_after"),
                 )
                 waiter.event.set()
@@ -281,7 +278,23 @@ class ShardClient:
     def request(self, op: str, sid: str | None = None, body: bytes = b"",
                 timeout: float | None = None,
                 request_id: str | None = None):
-        """One RPC round trip; returns ``(status, payload, retry_after)``.
+        """:meth:`request_raw` with the reply body parsed from JSON.
+
+        For the replies the router reads itself (``stats``, ``list``,
+        ``metrics``); proxied replies go through :meth:`request_raw`.
+        """
+        status, body, retry_after = self.request_raw(
+            op, sid, body, timeout, request_id)
+        try:
+            payload = json.loads(body) if body else {}
+        except json.JSONDecodeError:
+            payload = {"error": "shard returned malformed JSON"}
+        return status, payload, retry_after
+
+    def request_raw(self, op: str, sid: str | None = None, body: bytes = b"",
+                    timeout: float | None = None,
+                    request_id: str | None = None):
+        """One RPC round trip; returns ``(status, reply_bytes, retry_after)``.
 
         ``timeout`` (seconds) defaults to the client's configured
         timeout.  ``request_id`` is the HTTP front door's trace id; it
@@ -535,12 +548,13 @@ class ShardRouter:
 
     def _request(self, shard: int, op: str, sid: str | None = None,
                  body: bytes = b"", timeout: float | None = None):
-        status, payload, retry_after = self.supervisor.clients[shard].request(
-            op, sid=sid, body=body, timeout=timeout)
+        # The shard's reply bytes are forwarded as received.
+        status, reply, retry_after = self.supervisor.clients[
+            shard].request_raw(op, sid=sid, body=body, timeout=timeout)
         headers = {}
         if retry_after is not None:
             headers["Retry-After"] = f"{max(float(retry_after), 0.0):g}"
-        return status, json.dumps(payload).encode("utf-8"), headers
+        return status, reply or b"{}", headers
 
     def dispatch(self, method: str, path: str, body: bytes,
                  timeout: float | None = None, *,

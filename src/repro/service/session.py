@@ -35,9 +35,11 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.core.base import TRAJECTORY
 from repro.oracle.base import BaseOracle
 from repro.service.codec import decode_state, encode_state
 from repro.service.errors import (
+    CorruptStateError,
     SessionConflictError,
     SessionNotFoundError,
     StorageFullError,
@@ -136,6 +138,9 @@ class EvaluationSession:
         self._lock = threading.RLock()
         self._ticket = 0
         self._pending: dict | None = None  # outstanding proposal context
+        # Trajectory rows already in the journal's checkpoints: the
+        # next checkpoint writes only the rows after them.
+        self._journalled_draws = 0
         # Idempotency key → the response originally returned for it.
         # Bounded FIFO (DEDUP_WINDOW); journalled keys rebuild it on
         # replay and checkpoints capture it, so the exactly-once
@@ -297,13 +302,12 @@ class EvaluationSession:
                       metrics=metrics)
 
         events = wal.events()
-        start = 0
-        for position, event in enumerate(events):
-            if event["kind"] == "checkpoint":
-                start = position
-        if events and events[start]["kind"] == "checkpoint":
-            session._load_checkpoint_event(events[start])
-            replay = events[start + 1:]
+        checkpoints = [position for position, event in enumerate(events)
+                       if event["kind"] == "checkpoint"]
+        if checkpoints:
+            session._load_checkpoints(
+                [events[position] for position in checkpoints])
+            replay = events[checkpoints[-1] + 1:]
         else:
             replay = events
         for event in replay:
@@ -479,8 +483,7 @@ class EvaluationSession:
             labels = self._align_labels(labels)
             if self.wal is not None:
                 self._journal(
-                    "ingest",
-                    {"ticket": int(ticket), "labels": encode_state(labels)},
+                    "ingest", {"ticket": int(ticket), "labels": labels},
                     idempotency_key,
                 )
             response = self._do_ingest(int(ticket), labels)
@@ -534,12 +537,18 @@ class EvaluationSession:
         return self.status()
 
     def checkpoint(self) -> int:
-        """Journal a full snapshot; returns its event sequence number.
+        """Journal a snapshot; returns its event sequence number.
 
         Restores fast-forward to the latest checkpoint instead of
         replaying the whole journal, so long-lived sessions should
         checkpoint periodically.  An outstanding proposal is captured
         too — a checkpoint taken mid-batch restores mid-batch.
+
+        The event holds the sampler's constant-size state plus only the
+        trajectory rows drawn since the previous checkpoint in this
+        journal (its ``trajectory`` delta, starting at row ``start``);
+        :meth:`restore` concatenates the deltas.  Its arrays go to the
+        WAL live, so the binary codec writes them as raw bytes.
 
         The journal is flushed before returning: a checkpoint is a
         durability point even under a group-commit WAL (the buffered
@@ -552,10 +561,16 @@ class EvaluationSession:
                     f"session {self.session_id} is memory-only (no journal "
                     "directory); cannot checkpoint"
                 )
+            state = self.sampler.state_dict()
+            draws, start = len(state["history"]), self._journalled_draws
+            trajectory = {"start": start}
+            for name in TRAJECTORY:
+                trajectory[name] = state.pop(name)[start:]
             payload = {
                 "ticket": self._ticket,
-                "state": encode_state(self.sampler.state_dict()),
-                "pending": self._encode_pending(),
+                "state": state,
+                "trajectory": trajectory,
+                "pending": self._pending_payload(),
             }
             if self._dedup:
                 # Replay starts after the latest checkpoint, so the
@@ -574,19 +589,46 @@ class EvaluationSession:
                         f"could not checkpoint ({exc})"
                     ) from exc
                 raise
+            self._journalled_draws = draws
             return seq
 
-    def _encode_pending(self) -> dict | None:
+    def _pending_payload(self) -> dict | None:
         if self._pending is None:
             return None
-        return {
-            "ticket": self._pending["ticket"],
-            "batch_size": self._pending["batch_size"],
-            "context": encode_state(self._pending["context"]),
-        }
+        return {key: self._pending[key]
+                for key in ("ticket", "batch_size", "context")}
 
-    def _load_checkpoint_event(self, event: dict) -> None:
-        self.sampler.load_state_dict(decode_state(event["state"]))
+    def _load_checkpoints(self, checkpoints: list[dict]) -> None:
+        """Restore the latest checkpoint, its trajectory assembled from
+        the deltas of every checkpoint in the journal.
+
+        A pre-delta checkpoint holds the whole trajectory in its state
+        and restarts the assembly.  A delta may overlap the rows before
+        it (a checkpoint retried after a failed flush); rows are
+        append-only, so the later copy simply replaces them.  A delta
+        that starts past the assembled rows means one went missing.
+        """
+        parts = {name: [] for name in TRAJECTORY}
+        draws = 0
+        for event in checkpoints:
+            delta = event.get("trajectory") or {"start": 0, **event["state"]}
+            start = int(delta["start"])
+            if start > draws:
+                raise CorruptStateError(
+                    f"checkpoint {event['seq']} of session {self.session_id} "
+                    f"continues the trajectory at row {start}, but the "
+                    f"checkpoints before it hold {draws} rows",
+                    path=self.wal.directory)
+            for name, dtype in TRAJECTORY.items():
+                if start < draws:
+                    parts[name] = [np.concatenate(parts[name])[:start]]
+                parts[name].append(np.asarray(decode_state(delta[name]), dtype))
+            draws = start + len(parts["history"][-1])
+        state = decode_state(checkpoints[-1]["state"])
+        state.update({name: np.concatenate(parts[name]) for name in TRAJECTORY})
+        self.sampler.load_state_dict(state)
+        self._journalled_draws = draws
+        event = checkpoints[-1]
         self._ticket = int(event["ticket"])
         self._dedup = OrderedDict(
             (str(key), dict(response))
@@ -654,7 +696,10 @@ class EvaluationSession:
     def telemetry(self) -> dict:
         """Convergence telemetry for the observability layer.
 
-        Everything here degrades gracefully: samplers without a
+        Constant cost at any session age: the confidence interval and
+        the weight ESS come from the estimator's per-cell sums, and the
+        draw count from the trajectory's length.  Everything here
+        degrades gracefully: samplers without a
         confidence interval or without observation tracking (the plain
         importance sampler) report ``None`` for the signals they cannot
         produce, so the metrics endpoint never 500s over a sampler
@@ -697,16 +742,14 @@ class EvaluationSession:
         """
         with self._lock:
             sampler = self.sampler
-            history = [
-                None if np.isnan(value) else float(value)
-                for value in sampler.history
-            ]
+            history = sampler.history.astype(object)
+            history[np.isnan(sampler.history)] = None
             payload = {
                 "session_id": self.session_id,
                 "sampler": self.config["sampler"],
                 "measure": sampler.measure.name,
-                "history": history,
-                "budget_history": [int(v) for v in sampler.budget_history],
+                "history": history.tolist(),
+                "budget_history": sampler.budget_history.tolist(),
                 "labels_consumed": int(sampler.labels_consumed),
             }
             telemetry = self.telemetry()

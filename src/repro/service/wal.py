@@ -38,9 +38,10 @@ Event kinds (see :class:`repro.service.session.EvaluationSession`):
 ``ingest``
     ``{ticket, labels}`` — logged before the commit, same reasoning.
 ``checkpoint``
-    A full sampler snapshot plus any outstanding proposal context.
-    Restore starts from the latest checkpoint and replays only the
-    events after it, keeping recovery O(events since checkpoint).
+    The sampler's constant-size state, the trajectory rows drawn since
+    the previous checkpoint, and any outstanding proposal context.
+    Restore concatenates the checkpoints' trajectory rows, loads the
+    latest one and replays only the events after it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ import time
 import uuid
 from pathlib import Path
 
-from repro.service.codec import dump_state_binary, load_state_binary
+from repro.service.codec import (
+    dump_state_binary,
+    encode_state,
+    load_state_binary,
+)
 from repro.utils import (
     NULL_REGISTRY,
     CorruptStateError,
@@ -321,10 +326,12 @@ class SessionWAL:
             first, last = records[0]["seq"], records[-1]["seq"]
             name = f"b{first:08d}-{last:08d}.{ext}"
             content = {"records": records}
+        # Payloads arrive with live arrays: the binary codec writes them
+        # as raw bytes, the JSON codec as tagged base64.
         if self.codec == "binary":
             data = dump_state_binary(content)
         else:
-            data = json.dumps(content).encode("utf-8")
+            data = json.dumps(encode_state(content)).encode("utf-8")
         self._write_durable(self.event_dir / name, frame_payload(data))
 
     def _write_durable(self, path: Path, data: bytes) -> None:

@@ -130,6 +130,12 @@ class _Gauge(_Counter):
         with self._registry._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
+    def remove(self, **labels) -> None:
+        """Drop one series, so it is no longer exposed (no-op if unset)."""
+        key = _check_labels(self.labelnames, labels, self.name)
+        with self._registry._lock:
+            self._values.pop(key, None)
+
 
 class _Histogram:
     """Observations into fixed buckets, plus running sum and count.
@@ -200,6 +206,9 @@ class _NullInstrument:
         pass
 
     def observe(self, *args, **kwargs):
+        pass
+
+    def remove(self, *args, **kwargs):
         pass
 
 

@@ -62,8 +62,10 @@ def test_batch_of_one_is_bit_identical(name, imbalanced_pool):
     for __ in range(n_iterations):
         batched.sample_batch(1)
 
-    assert batched.sampled_indices == sequential.sampled_indices
-    assert batched.budget_history == sequential.budget_history
+    np.testing.assert_array_equal(batched.sampled_indices,
+                                  sequential.sampled_indices)
+    np.testing.assert_array_equal(batched.budget_history,
+                                  sequential.budget_history)
     np.testing.assert_array_equal(
         np.asarray(batched.history), np.asarray(sequential.history)
     )
@@ -131,7 +133,8 @@ def test_sample_with_batch_size_matches_sample_batch_blocks(imbalanced_pool):
     chunked = _build("oasis", imbalanced_pool)
     chunked.sample(150, batch_size=64)
 
-    assert chunked.sampled_indices == blocks.sampled_indices
+    np.testing.assert_array_equal(chunked.sampled_indices,
+                                  blocks.sampled_indices)
     np.testing.assert_array_equal(
         np.asarray(chunked.history), np.asarray(blocks.history)
     )

@@ -49,7 +49,7 @@ class TestSamplingContract:
     def test_sample_zero_iterations(self):
         sampler = make()
         sampler.sample(0)
-        assert sampler.history == []
+        np.testing.assert_array_equal(sampler.history, [])
 
     def test_sample_negative_rejected(self):
         with pytest.raises(ValueError, match="n_iterations"):
@@ -137,8 +137,9 @@ class TestEstimateAtBudgets:
 
     def _with_history(self, history, budget_history):
         sampler = make()
-        sampler.history = list(history)
-        sampler.budget_history = list(budget_history)
+        sampler._load_trajectory({
+            "history": history, "budget_history": budget_history,
+            "sampled_indices": np.zeros(len(history))})
         return sampler
 
     def test_budgets_below_first_entry_are_nan(self):

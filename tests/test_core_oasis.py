@@ -151,7 +151,7 @@ class TestSamplingMechanics:
         b = make_sampler(pool, seed=9)
         a.sample(100)
         b.sample(100)
-        assert a.sampled_indices == b.sampled_indices
+        np.testing.assert_array_equal(a.sampled_indices, b.sampled_indices)
         np.testing.assert_allclose(a.history, b.history, equal_nan=True)
 
 

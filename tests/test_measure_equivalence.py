@@ -243,8 +243,8 @@ class TestInstrumentalBitIdentity:
 
 def assert_samplers_identical(a, b):
     np.testing.assert_array_equal(np.asarray(a.history), np.asarray(b.history))
-    assert a.budget_history == b.budget_history
-    assert a.sampled_indices == b.sampled_indices
+    np.testing.assert_array_equal(a.budget_history, b.budget_history)
+    np.testing.assert_array_equal(a.sampled_indices, b.sampled_indices)
     assert a.queried_labels == b.queried_labels
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
@@ -362,9 +362,8 @@ class TestMeasureConsistency:
         linear = estimator.variance_estimate()
 
         measure = FMeasure(0.3)
-        obs = np.asarray(estimator._observations)
-        moments = measure.observation_moments(obs[:, 1], obs[:, 2], obs[:, 0])
-        t = len(obs)
+        moments = measure.observation_moments(labels, predictions, weights)
+        t = len(labels)
         mean_moments = moments.sum(axis=0) / t
         gradient = measure.moment_gradient(*mean_moments)
         influence = moments @ gradient - float(mean_moments @ gradient)
@@ -399,21 +398,43 @@ class TestMeasureConsistency:
 # ---------------------------------------------------------------------------
 
 
-def downgrade_sampler_state(state: dict) -> dict:
-    """Rewrite a v2 sampler snapshot into the historical v1 layout."""
+def observation_log(sampler) -> np.ndarray:
+    """The (weight, label, prediction) log a v1 estimator kept per draw.
+
+    v3 snapshots keep per-cell sums instead, so the log is rebuilt from
+    the sampler's trajectory; OASIS weights come from its diagnostics.
+    """
+    indices = sampler.sampled_indices
+    weights = getattr(sampler, "weight_history", None) or np.ones(len(indices))
+    labels = [sampler.queried_labels[i] for i in indices.tolist()]
+    return np.column_stack(
+        [weights, labels, sampler.predictions[indices]]).astype(float)
+
+
+def downgrade_sampler_state(state: dict, log=np.zeros((0, 3))) -> dict:
+    """Rewrite a v3 sampler snapshot into the historical v1 layout."""
     state = copy.deepcopy(state)
-    assert state["format_version"] == 2
+    assert state["format_version"] == 3
     state["format_version"] = 1
     measure = state.pop("measure")
     assert measure["kind"] == "fmeasure", "v1 only ever stored F targets"
     state["alpha"] = measure["alpha"]
+    for name in ("history", "budget_history", "sampled_indices"):
+        state[name] = state[name].tolist()
+    if state.get("record_diagnostics"):
+        state["record_diagnostics"] = False
+        for name in ("pi_history", "instrumental_history", "weight_history"):
+            del state[name]
     estimator = state.get("estimator")
     if estimator is not None:
-        assert estimator["format_version"] == 2
+        assert estimator["format_version"] == 3
         estimator["format_version"] = 1
         est_measure = estimator.pop("measure")
         estimator["alpha"] = est_measure["alpha"]
         estimator.pop("weighted_count", None)
+        estimator.pop("cells")
+        estimator["observations"] = (
+            log if estimator["track_observations"] else np.zeros((0, 3)))
     if "current_estimate" in state:
         state["current_f"] = state.pop("current_estimate")
     return state
@@ -429,11 +450,13 @@ def test_v1_snapshot_restores_and_continues(kind, batch_size):
     uninterrupted.sample(40, batch_size=batch_size)
     uninterrupted.sample(40, batch_size=batch_size)
 
-    donor = factory(predictions, scores, DeterministicOracle(labels), 5)
+    diagnostics = {"record_diagnostics": True} if kind == "oasis" else {}
+    donor = factory(predictions, scores, DeterministicOracle(labels), 5,
+                    **diagnostics)
     donor.sample(40, batch_size=batch_size)
-    v1_state = load_state(
-        dump_state(downgrade_sampler_state(donor.state_dict()))
-    )
+    v1_state = load_state(dump_state(
+        downgrade_sampler_state(donor.state_dict(), observation_log(donor))
+    ))
 
     resumed = factory(predictions, scores, DeterministicOracle(labels), 999)
     resumed.load_state_dict(v1_state)

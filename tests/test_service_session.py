@@ -62,8 +62,10 @@ def reference(kind, predictions, scores, labels, seed, batch_sizes):
 def assert_same_trajectory(session, sampler):
     np.testing.assert_array_equal(
         np.asarray(session.sampler.history), np.asarray(sampler.history))
-    assert session.sampler.budget_history == sampler.budget_history
-    assert session.sampler.sampled_indices == sampler.sampled_indices
+    np.testing.assert_array_equal(session.sampler.budget_history,
+                                  sampler.budget_history)
+    np.testing.assert_array_equal(session.sampler.sampled_indices,
+                                  sampler.sampled_indices)
     assert (session.sampler.rng.bit_generator.state
             == sampler.rng.bit_generator.state)
 

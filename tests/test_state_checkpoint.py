@@ -59,8 +59,8 @@ def snapshot_roundtrip(sampler):
 def assert_samplers_identical(a, b):
     np.testing.assert_array_equal(
         np.asarray(a.history), np.asarray(b.history))
-    assert a.budget_history == b.budget_history
-    assert a.sampled_indices == b.sampled_indices
+    np.testing.assert_array_equal(a.budget_history, b.budget_history)
+    np.testing.assert_array_equal(a.sampled_indices, b.sampled_indices)
     assert a.queried_labels == b.queried_labels
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
     est_a, est_b = a.estimate, b.estimate
