@@ -33,11 +33,9 @@ A third claim guards session age:
 
 * **Operator calls cost the same on old sessions.**  One session ages
   through 10^4, 10^5 and 10^6 draws (200k-item pool, batch 8192,
-  binary codec, group-commit WAL); telemetry stays under
-  ``SERVICE_BENCH_MAX_AGED_TELEMETRY`` (default 10 ms) at 10^6 draws,
-  and the checkpoint, restore and checkpoint-event sizes are recorded
-  at each age.  On that pool at 10^6 draws the per-cell CI and weight
-  ESS match the per-observation formulas to rtol 1e-10.
+  binary codec, group-commit WAL); telemetry stays under 10 ms at
+  10^6 draws, and the checkpoint, restore and checkpoint-event sizes
+  are recorded at each age.
 
 Results stream to ``BENCH_service.json``.
 """
@@ -66,8 +64,7 @@ MAX_OVERHEAD = float(os.environ.get("SERVICE_BENCH_MAX_OVERHEAD", "1.75"))
 MAX_OBS_OVERHEAD = float(
     os.environ.get("SERVICE_BENCH_MAX_OBS_OVERHEAD", "1.05"))
 MIN_SPEEDUP = float(os.environ.get("SERVICE_BENCH_MIN_SPEEDUP", "10"))
-MAX_AGED_TELEMETRY = float(
-    os.environ.get("SERVICE_BENCH_MAX_AGED_TELEMETRY", "0.010"))
+MAX_AGED_TELEMETRY = 0.010  # seconds, at 10^6 draws
 N_CLIENTS = int(os.environ.get("SERVICE_BENCH_CLIENTS", "16"))
 OUT_PATH = os.environ.get("SERVICE_BENCH_OUT", "BENCH_service.json")
 
@@ -611,48 +608,6 @@ def test_session_age_sweep(tmp_path):
     assert rows[-1]["telemetry_seconds"] < MAX_AGED_TELEMETRY, (
         f"telemetry takes {rows[-1]['telemetry_seconds'] * 1e3:.1f} ms at "
         f"{AGES[-1]:,} draws (ceiling {MAX_AGED_TELEMETRY * 1e3:g} ms)")
-
-
-def test_aged_ci_and_ess_match_per_observation_formulas():
-    """At 10^6 OASIS draws on the aged pool, the per-cell CI half-width
-    and weight ESS equal the per-observation formulas to rtol 1e-10."""
-    from repro.measures.ratio import LinearRatioMeasure
-
-    truth, predictions, scores = _aged_pool()
-    for measure in ("fmeasure", "recall", "balanced_accuracy", "wracc"):
-        sampler = SAMPLER_KINDS["oasis"](
-            predictions, scores, DeterministicOracle(truth), n_strata=30,
-            measure=measure, random_state=5, record_diagnostics=True)
-        sampler.sample(AGES[-1], batch_size=AGE_BATCH)
-        weights = np.asarray(sampler.weight_history)
-        indices = sampler.sampled_indices
-        labels = truth[indices].astype(float)
-        preds = predictions[indices].astype(float)
-        g_hat, t = sampler.estimate, len(weights)
-        target = sampler.measure
-        if isinstance(target, LinearRatioMeasure):
-            g_num, g_den = target.observation_statistics(labels, preds)
-            b_bar = float(np.sum(weights * g_den)) / t
-            influence = weights * (g_num - g_hat * g_den)
-            variance = float(np.mean(influence**2) / (t * b_bar**2))
-        else:
-            moments = target.observation_moments(labels, preds, weights)
-            mean_moments = moments.sum(axis=0) / t
-            gradient = target.moment_gradient(*mean_moments)
-            influence = moments @ gradient - float(mean_moments @ gradient)
-            variance = float(np.mean(influence**2) / t)
-        low, high = sampler.confidence_interval()
-        ess = float(np.sum(weights)) ** 2 / float(np.sum(weights**2))
-        estimator = sampler._estimator
-        print(f"\n{measure}: variance rel diff "
-              f"{abs(estimator.variance_estimate() / variance - 1):.2e}, "
-              f"ESS rel diff {abs(estimator.weight_ess() / ess - 1):.2e}")
-        np.testing.assert_allclose(estimator.variance_estimate(), variance,
-                                   rtol=1e-10)
-        np.testing.assert_allclose((high - low) / 2,
-                                   1.959963984540054 * np.sqrt(variance),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(estimator.weight_ess(), ess, rtol=1e-10)
 
 
 def _merge_report(entry: dict) -> None:

@@ -65,6 +65,10 @@ STATE_FORMAT_VERSION = 3
 TRAJECTORY = {"history": np.float64, "budget_history": np.int64,
               "sampled_indices": np.int64}
 
+#: Single draws wait as tuples until this many are pending (or the
+#: trajectory is read), then move into the buffers in one assignment.
+PENDING_ROWS = 256
+
 
 class BaseEvaluationSampler(abc.ABC):
     """Base class for label-efficient ratio-measure samplers.
@@ -155,6 +159,8 @@ class BaseEvaluationSampler(abc.ABC):
 
     @property
     def estimate(self) -> float:
+        if self._pending:
+            return float(self._pending[-1][0])
         if not self._n_draws:
             return float("nan")
         return float(self._trajectory["history"][self._n_draws - 1])
@@ -162,6 +168,7 @@ class BaseEvaluationSampler(abc.ABC):
     def _column(self, name: str) -> np.ndarray:
         # Entries below _n_draws are never rewritten, so the view is a
         # stable snapshot even after later draws or a buffer regrowth.
+        self._flush()
         view = self._trajectory[name][:self._n_draws]
         view.flags.writeable = False
         return view
@@ -173,12 +180,29 @@ class BaseEvaluationSampler(abc.ABC):
     def _record(self, indices, estimates, new_mask=None) -> None:
         """Append one draw (scalars) or a batch (aligned arrays; then
         ``new_mask`` from :meth:`_apply_labels` gives the budgets)."""
-        budgets = self.labels_consumed
-        if new_mask is not None:
-            budgets = budgets - int(new_mask.sum()) + np.cumsum(new_mask)
+        if new_mask is None:
+            # One draw: a tuple append is as cheap as the per-draw path
+            # needs; the rows move into the buffers in bulk.
+            pending = self._pending
+            pending.append((estimates, len(self.queried_labels), indices))
+            if len(pending) == PENDING_ROWS:
+                self._flush()
+            return
+        self._flush()
+        budgets = (self.labels_consumed - int(new_mask.sum())
+                   + np.cumsum(new_mask))
+        self._append((estimates, budgets, indices), len(new_mask))
+
+    def _flush(self) -> None:
+        """Move the rows :meth:`_record` holds as tuples into the buffers."""
+        if self._pending:
+            rows, self._pending = self._pending, []
+            self._append(tuple(zip(*rows)), len(rows))
+
+    def _append(self, columns, count: int) -> None:
         start = self._n_draws
-        stop = start + np.size(indices)
-        for name, values in zip(TRAJECTORY, (estimates, budgets, indices)):
+        stop = start + count
+        for name, values in zip(TRAJECTORY, columns):
             buffer = self._trajectory[name]
             if stop > len(buffer):
                 grown = np.empty(max(stop, 2 * len(buffer)), buffer.dtype)
@@ -189,6 +213,7 @@ class BaseEvaluationSampler(abc.ABC):
 
     def _load_trajectory(self, columns: dict) -> None:
         """Replace the trajectory with ``columns`` (one array per name)."""
+        self._pending = []
         self._n_draws = len(columns["history"])
         self._trajectory = {}
         for name, dtype in TRAJECTORY.items():

@@ -72,8 +72,8 @@ class AISEstimator:
         self._weighted_true = 0.0  # sum w * l
         self._weighted_count = 0.0  # sum w
         self.n_observations = 0
-        # Rows: count, sum w, sum w^2; columns: the cells 2 * l + lhat.
-        self._cells = np.zeros((3, 4))
+        # Cell c = 2 l + lhat: count at c, sum w at 4 + c, sum w^2 at 8 + c.
+        self._cells = [0.0] * 12
 
     @property
     def alpha(self):
@@ -82,6 +82,8 @@ class AISEstimator:
 
     def update(self, label: int, prediction: int, weight: float = 1.0) -> None:
         """Fold in one observation (l_t, lhat_t) with weight w_t."""
+        # Python floats: the IEEE operations of NumPy scalars, faster.
+        weight = float(weight)
         if weight < 0:
             raise ValueError(f"weight must be non-negative; got {weight}")
         label = float(label)
@@ -92,8 +94,11 @@ class AISEstimator:
         self._weighted_count += weight
         self.n_observations += 1
         if self.track_observations:
-            self._cells[:, 2 * int(label) + int(prediction)] += (
-                1.0, weight, weight * weight)
+            cells = self._cells
+            cell = int(2.0 * label + prediction)
+            cells[cell] += 1.0
+            cells[4 + cell] += weight
+            cells[8 + cell] += weight * weight
 
     def update_batch(self, labels, predictions, weights=None) -> np.ndarray:
         """Fold in a batch of observations with one vectorised update.
@@ -151,11 +156,11 @@ class AISEstimator:
     def _fold_cells(self, labels, predictions, weights) -> None:
         # np.add.at is unbuffered and adds in index (draw) order, so the
         # per-cell sums are bitwise those of an update() loop.
-        cells = (2 * labels + predictions).astype(np.intp)
-        for row, values in zip(
-            self._cells, (np.ones_like(weights), weights, weights * weights)
-        ):
-            np.add.at(row, cells, values)
+        sums = np.reshape(self._cells, (3, 4))
+        np.add.at(sums.T, (2 * labels + predictions).astype(np.intp),
+                  np.column_stack([np.ones_like(weights), weights,
+                                   weights * weights]))
+        self._cells = sums.ravel().tolist()
 
     def measure_value(self, measure=None) -> float:
         """Evaluate any ratio measure at the current moment sums.
@@ -184,9 +189,9 @@ class AISEstimator:
         check_in_range(alpha, 0.0, 1.0, "alpha")
         return self.measure_value(FMeasure(alpha))
 
-    @property
-    def estimate(self) -> float:
-        return self.measure_value()
+    #: The configured measure's value (read after every draw, hence no
+    #: wrapper around :meth:`measure_value`).
+    estimate = property(measure_value)
 
     @property
     def precision(self) -> float:
@@ -229,7 +234,7 @@ class AISEstimator:
         g_hat = self.measure_value(measure)
         if np.isnan(g_hat) or self.n_observations == 0:
             return float("nan")
-        count, weight, square = self._cells
+        count, weight, square = np.reshape(self._cells, (3, 4))
         t = self.n_observations
         if isinstance(measure, LinearRatioMeasure):
             g_num, g_den = measure.observation_statistics(_CELLS_L, _CELLS_P)
@@ -285,10 +290,10 @@ class AISEstimator:
         """
         if not self.track_observations:
             raise RuntimeError("weight_ess requires track_observations=True")
-        square_sum = float(self._cells[2].sum())
+        square_sum = float(np.sum(self._cells[8:]))
         if square_sum <= 0.0:
             return 0.0
-        total = float(self._cells[1].sum())
+        total = float(np.sum(self._cells[4:8]))
         return total * total / square_sum
 
     def state(self) -> dict:
@@ -318,7 +323,7 @@ class AISEstimator:
         state["format_version"] = 3
         state["measure"] = self.measure.spec()
         state["track_observations"] = self.track_observations
-        state["cells"] = self._cells.copy()
+        state["cells"] = np.reshape(self._cells, (3, 4))
         return state
 
     def _check_measure(self, captured) -> None:
@@ -331,17 +336,13 @@ class AISEstimator:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
 
-        Version-1 and -2 snapshots carry the per-observation log, which
-        is folded into the per-cell sums in draw order, so the migrated
-        estimator continues bitwise like one that kept the sums.
-        Version-1 (alpha-only) snapshots migrate transparently: the
-        measure is reconstructed as ``FMeasure(alpha)`` and the missing
-        total-weight moment is rebuilt from the log by the same
-        sequential accumulation the live estimator performed (so the
-        restore stays bit-identical) or marked NaN without a log — in
-        which case measures that need the total moment (accuracy,
-        specificity, ...) read NaN until reset, while the F family is
-        unaffected.
+        Version-1 and -2 snapshots carry the per-observation log; it is
+        folded into the per-cell sums in draw order, so the estimator
+        continues bitwise.  Version-1 (alpha-only) snapshots target
+        ``FMeasure(alpha)``; their missing total-weight moment is summed
+        from the log in draw order, or is NaN without one — then measures
+        that need it (accuracy, specificity, ...) read NaN until reset,
+        while the F family is unaffected.
         """
         version = state.get("format_version")
         if version == 1:
@@ -356,10 +357,10 @@ class AISEstimator:
         self._weighted_true = float(state["weighted_true"])
         self.n_observations = int(state["n_observations"])
         self.track_observations = bool(state["track_observations"])
-        self._cells = np.zeros((3, 4))
         if version == 3:
-            self._cells[:] = state["cells"]
+            self._cells = np.ravel(state["cells"]).astype(float).tolist()
         else:
+            self._cells = [0.0] * 12
             log = np.asarray(state["observations"], dtype=float).reshape(-1, 3)
             self._fold_cells(log[:, 1], log[:, 2], log[:, 0])
         if version >= 2:
@@ -377,7 +378,7 @@ class AISEstimator:
         self._weighted_true = 0.0
         self._weighted_count = 0.0
         self.n_observations = 0
-        self._cells[:] = 0.0
+        self._cells = [0.0] * 12
 
 
 def sample_measure_history(labels, predictions, weights=None, *,

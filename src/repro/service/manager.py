@@ -397,7 +397,10 @@ class SessionManager:
             if telemetry["weight_ess"] is not None:
                 ess_gauge.set(telemetry["weight_ess"], session=sid)
         with self._registry_lock:
-            stale, self._gauged_sessions = self._gauged_sessions - gauged, gauged
-        for sid in stale:
-            for gauge in gauges:
-                gauge.remove(session=sid)
+            # Retire against residency now, not this scrape's snapshot: a
+            # concurrent scrape may have gauged sessions this one missed.
+            seen = self._gauged_sessions | gauged
+            self._gauged_sessions = seen & self._sessions.keys()
+            for sid in seen - self._gauged_sessions:
+                for gauge in gauges:
+                    gauge.remove(session=sid)

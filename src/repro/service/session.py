@@ -509,7 +509,9 @@ class EvaluationSession:
                     f"{sorted(extra)[:10]}"
                 )
             labels = [by_index[int(i)] for i in fresh]
-        labels = np.asarray(labels, dtype=np.int64)
+        # A copy: the journal may hold it past this call (group commit),
+        # so the caller's array must not be able to change it.
+        labels = np.array(labels, dtype=np.int64)
         if labels.shape != fresh.shape:
             raise ValueError(
                 f"expected {len(fresh)} labels for ticket "

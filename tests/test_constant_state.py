@@ -6,16 +6,18 @@ delta checkpoints.
   Kish ESS as the per-observation formulas the estimator used before
   it dropped its observation log (:func:`oracle_variance` is those
   formulas, kept here as the oracle), for every measure, arbitrary
-  weights and arbitrary batch splits; ``update_batch`` advances the
-  sums bitwise like an ``update`` loop.
+  weights and arbitrary batch splits, and over 10^6 draws on a pool
+  with 0.5% matches; ``update_batch`` advances the sums bitwise like
+  an ``update`` loop.
 * A version-2 snapshot (per-observation log, list trajectories)
   migrates and continues bitwise like a sampler that never left v3.
 * Checkpoints journal only the trajectory rows drawn since the previous
   one; restore concatenates the deltas across eviction churn, after a
   pre-delta checkpoint, across empty deltas, and refuses a chain with
-  a delta missing.
+  a delta missing.  Ingested labels are journalled as they were
+  applied, whatever the caller does with its array afterwards.
 * The router forwards shard replies byte for byte; per-session gauges
-  cover resident sessions only.
+  cover resident sessions only, also under concurrent scrapes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import copy
 import json
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from test_measure_equivalence import observation_log
 from test_service_faults import RecoveringClient, ShardedService, make_pool
 from test_service_observability import raw_request
 
@@ -48,7 +52,7 @@ from repro.service.codec import (
     load_state,
 )
 from repro.service.session import EvaluationSession
-from repro.service.wal import SessionWAL, frame_payload
+from repro.service.wal import GroupCommitWAL, SessionWAL, frame_payload
 from repro.utils import CorruptStateError
 from repro.utils.metrics import parse_prometheus_text
 
@@ -161,6 +165,42 @@ def test_variance_needs_no_observation_log():
     assert len(set(sizes)) == 1
 
 
+def aged_pool(n_items=200_000, match_share=0.005):
+    """A labelling pool like the repository benchmark's: 0.5% matches,
+    noisy scores, predictions thresholded at 0.5."""
+    rng = np.random.default_rng(2024)
+    truth = np.zeros(n_items, dtype=np.int8)
+    truth[rng.choice(n_items, size=int(n_items * match_share),
+                     replace=False)] = 1
+    centre = np.where(truth == 1, 0.68, 0.30)
+    scores = np.clip(centre + rng.normal(0.0, 0.13, n_items), 0.0, 1.0)
+    return truth, (scores >= 0.5).astype(np.int8), scores
+
+
+@pytest.mark.parametrize(
+    "kind", ["fmeasure", "recall", "balanced_accuracy", "wracc"])
+def test_cell_sums_match_per_observation_formulas_at_a_million_draws(kind):
+    """Folding 10^6 OASIS draws cell by cell keeps the variance, the CI
+    half-width and the weight ESS within rtol 1e-10 of the formulas."""
+    truth, predictions, scores = aged_pool()
+    sampler = OASISSampler(predictions, scores, DeterministicOracle(truth),
+                           n_strata=30, measure=kind, random_state=5,
+                           record_diagnostics=True)
+    sampler.sample(1_000_000, batch_size=8192)
+    weights, labels, preds = observation_log(sampler).T
+    variance, __ = oracle_variance(sampler.measure, sampler.estimate,
+                                   weights, labels, preds)
+    estimator = sampler._estimator
+    np.testing.assert_allclose(estimator.variance_estimate(), variance,
+                               rtol=1e-10)
+    low, high = estimator.confidence_interval()
+    np.testing.assert_allclose(
+        (high - low) / 2, stats.norm.ppf(0.975) * np.sqrt(variance),
+        rtol=1e-10)
+    ess = float(np.sum(weights)) ** 2 / float(np.sum(weights**2))
+    np.testing.assert_allclose(estimator.weight_ess(), ess, rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # v2 -> v3 migration.
 # ---------------------------------------------------------------------------
@@ -181,15 +221,10 @@ def to_v2(sampler) -> dict:
     state["format_version"] = 2
     for name in COLUMNS:
         state[name] = state[name].tolist()
-    indices = sampler.sampled_indices
-    weights = getattr(sampler, "weight_history", None) or np.ones(len(indices))
-    log = np.column_stack([
-        weights, [sampler.queried_labels[i] for i in indices.tolist()],
-        sampler.predictions[indices]]).astype(float)
     estimator = state["estimator"]
     estimator["format_version"] = 2
     del estimator["cells"]
-    estimator["observations"] = log
+    estimator["observations"] = observation_log(sampler)
     return state
 
 
@@ -318,6 +353,32 @@ def test_missing_delta_raises_corrupt_state(tmp_path):
         EvaluationSession.restore(tmp_path / "s")
 
 
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_journal_keeps_labels_the_caller_changes_later(tmp_path, codec):
+    """Group commit holds an ingest event past the call; the labels it
+    journals are the ones applied, not what the caller's array holds
+    by the time the journal flushes."""
+    predictions, scores, labels = make_pool(seed=9, n=100)
+
+    def wal_factory(path):
+        return GroupCommitWAL(path, codec=codec, max_batch=64)
+
+    session = EvaluationSession.create(predictions, scores, seed=3,
+                                       directory=tmp_path / "s",
+                                       wal_factory=wal_factory)
+    for _ in range(4):
+        proposal = session.propose(9)
+        answer = np.array([labels[i] for i in proposal["pending"]],
+                          dtype=np.int64)
+        session.ingest(proposal["ticket"], answer)
+        answer ^= 1  # the caller reuses its buffer
+    assert session.wal.pending_events == 8
+    session.wal.flush()
+    restored = EvaluationSession.restore(tmp_path / "s",
+                                         wal_factory=wal_factory)
+    assert_sessions_identical(restored, session)
+
+
 def test_pre_delta_checkpoint_followed_by_delta_checkpoints(tmp_path):
     sidecar = json.loads((BINARY_FIXTURE / "fixture.json").read_text())
     directory = tmp_path / sidecar["session_id"]
@@ -408,3 +469,36 @@ def test_session_gauges_cover_resident_sessions_only(tmp_path):
     draws = {dict(labels)["session"]
              for (_, labels) in parsed["oasis_session_draws_total"]["samples"]}
     assert draws == {f"g{index}" for index in range(5)}
+
+
+def test_an_older_scrape_keeps_the_gauges_a_newer_one_set(tmp_path):
+    """Scrapes run concurrently; one that snapshotted the residents
+    before a session arrived must not retire that session's gauges
+    when it finishes after a scrape that saw it."""
+    predictions, scores, labels = make_pool(seed=10, n=120)
+    manager = SessionManager(tmp_path / "root", capacity=4)
+    first = manager.create_session(predictions, scores, session_id="x",
+                                   seed=0)
+    drive(first, labels, rounds=2)
+    inside, release = threading.Event(), threading.Event()
+
+    def held_telemetry():
+        inside.set()
+        release.wait(10)
+        return type(first).telemetry(first)
+
+    first.telemetry = held_telemetry
+    older = threading.Thread(target=manager.observe_session_telemetry)
+    older.start()
+    assert inside.wait(10)  # the older scrape's snapshot is {x}
+    del first.telemetry
+    drive(manager.create_session(predictions, scores, session_id="y",
+                                 seed=1), labels, rounds=2)
+    assert gauge_sessions(manager)["oasis_session_estimate"] == {"x", "y"}
+    release.set()
+    older.join(10)
+    assert not older.is_alive()
+    parsed = parse_prometheus_text(manager.metrics.render())
+    for family in SESSION_GAUGES:
+        assert {dict(labels)["session"]
+                for (_, labels) in parsed[family]["samples"]} == {"x", "y"}
