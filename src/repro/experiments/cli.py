@@ -273,26 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--flush-interval", type=float, default=0.0,
-        help="sharded mode: seconds each shard waits after the first "
+        help="seconds each shard waits after the first "
         "queued request for a commit group to form (0 = commit "
         "whatever is queued)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=32,
-        help="sharded mode: max requests per shard commit window",
+        help="max requests per shard commit window",
     )
     serve.add_argument(
         "--max-queue", type=int, default=128,
-        help="sharded mode: per-shard inbox bound; beyond it requests "
+        help="per-shard inbox bound; beyond it requests "
         "get 503 + Retry-After",
     )
     serve.add_argument(
         "--codec", choices=("json", "binary"), default="json",
-        help="sharded mode: WAL shard serialisation",
+        help="WAL shard serialisation",
     )
     serve.add_argument(
         "--rpc-timeout", type=float, default=None,
-        help="sharded mode: seconds the router waits for a shard's "
+        help="seconds the router waits for a shard's "
         "answer before returning 504 (default 120; clients can lower "
         "it per request with the X-Request-Timeout header)",
     )
@@ -528,24 +528,18 @@ def _cmd_pipeline(args) -> None:
 def _cmd_serve(args) -> None:
     # Deferred import: the service layer is not needed by the
     # experiment subcommands.
-    from repro.service import SessionManager
     from repro.service.http import make_sharded_backend, serve
 
-    if args.shards > 0:
-        if args.root is None:
-            raise SystemExit("--shards requires --root (journals live there)")
-        backend = make_sharded_backend(
-            args.root, args.shards, codec=args.codec,
-            flush_interval=args.flush_interval, max_batch=args.max_batch,
-            max_queue=args.max_queue, capacity=args.capacity,
-            rpc_timeout=args.rpc_timeout,
-            log_format=args.log_format, log_level=args.log_level,
-        )
-        serve(backend, host=args.host, port=args.port,
-              log_format=args.log_format, log_level=args.log_level)
-        return
-    manager = SessionManager(args.root, capacity=args.capacity)
-    serve(manager, host=args.host, port=args.port,
+    if args.shards > 0 and args.root is None:
+        raise SystemExit("--shards requires --root (journals live there)")
+    backend = make_sharded_backend(
+        args.root, args.shards, codec=args.codec,
+        flush_interval=args.flush_interval, max_batch=args.max_batch,
+        max_queue=args.max_queue, capacity=args.capacity,
+        rpc_timeout=args.rpc_timeout,
+        log_format=args.log_format, log_level=args.log_level,
+    )
+    serve(backend, host=args.host, port=args.port,
           idle_timeout=args.idle_timeout,
           log_format=args.log_format, log_level=args.log_level)
 

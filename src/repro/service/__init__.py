@@ -29,14 +29,16 @@ Layers, bottom up:
 * :mod:`repro.service.manager` — :class:`SessionManager`, thread-safe
   session registry with per-session locks, capacity limits and
   idle-session eviction to disk.
+* :mod:`repro.service.protocol` — the request protocol, written once:
+  the route table, op execution and the exception → status mapping.
 * :mod:`repro.service.rpc` / :mod:`repro.service.shard` /
-  :mod:`repro.service.router` — the sharded multi-process tier:
-  session-owning worker processes with group-commit loops and bounded
-  queues, consistent-hash routing, supervised restarts and
-  backpressure (503 + ``Retry-After``).
+  :mod:`repro.service.router` — session-owning shards with
+  group-commit loops and bounded queues, run as worker processes
+  (consistent-hash routing, supervised restarts) or as one shard
+  inside the server process, behind one router that renders
+  backpressure as 503 + ``Retry-After``.
 * :mod:`repro.service.http` — a stdlib ``ThreadingHTTPServer`` JSON
-  front-end (``python -m repro.experiments serve``) over either an
-  in-process manager or the shard router.
+  front-end (``python -m repro.experiments serve``) over the router.
 * :mod:`repro.service.client` — :class:`EvaluationClient`, the
   retrying, idempotency-keyed client library matching that failure
   envelope.

@@ -1,13 +1,15 @@
 """Service-layer exceptions with HTTP status mappings.
 
 The session, manager and HTTP layers share one exception vocabulary so
-the front-end can translate failures mechanically: every
-:class:`ServiceError` carries the status code its HTTP rendering should
-use, and plain ``ValueError`` / ``KeyError`` from the layers below map
-to 400 / 404 at the handler.
+failures translate mechanically: every :class:`ServiceError` carries
+the status code its HTTP rendering should use, and
+:func:`repro.service.protocol.error_reply` maps the rest (plain
+``ValueError`` / ``KeyError`` → 400 / 404, a full volume → 503).
 """
 
 from __future__ import annotations
+
+import errno
 
 from repro.utils.io import CorruptStateError
 
@@ -20,7 +22,11 @@ __all__ = [
     "StorageFullError",
     "DeadlineExceededError",
     "CorruptStateError",
+    "VOLUME_FULL_ERRNOS",
 ]
+
+#: ``errno`` values of a write that found the journal volume full.
+VOLUME_FULL_ERRNOS = (errno.ENOSPC, errno.EDQUOT)
 
 
 class ServiceError(Exception):

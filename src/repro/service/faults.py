@@ -45,6 +45,7 @@ present in the worker options.
 from __future__ import annotations
 
 import errno
+import functools
 import os
 import signal
 import socket
@@ -145,11 +146,8 @@ class FaultingWAL(GroupCommitWAL):
 def faulting_wal_factory(plan: FaultPlan, *, codec: str = "json",
                          max_batch: int = 32):
     """A ``wal_factory`` for :class:`~repro.service.manager.SessionManager`."""
-    def factory(directory):
-        return FaultingWAL(directory, plan=plan, codec=codec,
-                           max_batch=max_batch)
-
-    return factory
+    return functools.partial(FaultingWAL, plan=plan, codec=codec,
+                             max_batch=max_batch)
 
 
 class FaultingSocket:

@@ -1,249 +1,51 @@
 """JSON-over-HTTP front-end for the session service.
 
-A deliberately dependency-free serving layer: stdlib
-``ThreadingHTTPServer`` (one thread per connection, keep-alive,
-Nagle disabled) in front of a pluggable **dispatcher** — the object
-that actually answers requests:
-
-* :class:`LocalDispatcher` drives a
-  :class:`~repro.service.manager.SessionManager` in-process: the
-  original single-process deployment, still the default and the
-  simplest thing that can serve a session.
-* :class:`~repro.service.router.ShardRouter` proxies each request to
-  the shard worker process owning its session — the fleet-scale
-  deployment (``serve --shards N``), with group-commit journalling and
-  backpressure.
-
-Both speak the same protocol; clients cannot tell which is behind the
-socket except through ``/healthz``.
-
-Routes (all bodies and responses are JSON):
-
-========  ==============================  =======================================
-Method    Path                            Action
-========  ==============================  =======================================
-GET       ``/healthz``                    liveness + session counts
-GET       ``/sessions``                   list sessions (resident and on-disk)
-POST      ``/sessions``                   create a session
-GET       ``/sessions/{id}``              session status
-POST      ``/sessions/{id}/propose``      propose a batch → pairs to label
-POST      ``/sessions/{id}/ingest``       ingest labels for a ticket
-GET       ``/sessions/{id}/estimate``     current estimate + intervals
-GET       ``/sessions/{id}/history``      estimate/CI trajectory (for reports)
-POST      ``/sessions/{id}/checkpoint``   journal a full snapshot
-DELETE    ``/sessions/{id}``              close (checkpoint + drop from memory)
-GET       ``/metrics``                    Prometheus text exposition
-========  ==============================  =======================================
-
-Every response carries an ``X-Request-Id`` header — the value of the
-request's own ``X-Request-Id`` if it sent one (letters, digits,
-``._-``, at most 64 chars), otherwise a server-generated id.  The id
-rides the router→shard RPC frames and appears in structured log events,
-so one client-reported failure is greppable across every tier.
-
-The create body::
-
-    {"predictions": [...], "scores": [...], "sampler": "oasis",
-     "sampler_kwargs": {"n_strata": 30}, "measure": "recall",
-     "seed": 42, "session_id": "optional-name"}
-
-``measure`` (optional) targets any ratio measure — a kind name or a
-spec dict such as ``{"kind": "fmeasure", "alpha": 0.25}``.  Omitting it
-keeps the historical alpha-parametrised F-measure target (``"alpha"``,
-default 0.5); sending both ``measure`` and ``alpha`` is rejected with
-400, exactly as the library entry points reject the combination.
-
-Errors map mechanically: ``ValueError`` → 400,
-:class:`~repro.service.errors.SessionNotFoundError` → 404,
-:class:`~repro.service.errors.SessionConflictError` → 409,
-:class:`~repro.service.errors.CapacityError` → 503.  A 503 from
-backpressure (:class:`~repro.service.errors.OverloadError`, sharded
-mode) additionally carries ``Retry-After`` with a suggested pause in
-seconds; clients should back off that long and resend the identical
-request.
+A dependency-free serving layer: stdlib ``ThreadingHTTPServer`` (one
+thread per connection, keep-alive, Nagle disabled) in front of a
+:class:`~repro.service.router.ShardRouter` over either pool — a
+:class:`~repro.service.router.LocalShardPool` (one shard inside this
+process: the default, single-process deployment) or a
+:class:`~repro.service.router.ShardSupervisor` (worker processes,
+``serve --shards N``).  Both run the same shard code behind the same
+router and protocol (:mod:`repro.service.protocol`), so clients cannot
+tell the tiers apart except by throughput.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.service.errors import CorruptStateError, ServiceError
 from repro.service.manager import SessionManager
-from repro.utils import (
-    bind_request_id,
-    configure_logging,
-    get_logger,
-    render_prometheus,
+from repro.service.router import (
+    HashRing,
+    LocalShardPool,
+    ShardRouter,
+    ShardSupervisor,
+    init_topology,
 )
-from repro.utils.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.service.shard import _ShardState, open_shard
+from repro.utils import bind_request_id, configure_logging, get_logger
 
-__all__ = ["ServiceServer", "LocalDispatcher", "make_server", "serve"]
-
-_SESSION_ROUTE = re.compile(
-    r"^/sessions/(?P<sid>[A-Za-z0-9._-]+)"
-    r"(?:/(?P<action>propose|ingest|estimate|checkpoint|history))?$"
-)
+__all__ = ["ServiceServer", "make_server", "make_sharded_backend", "serve"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
-#: Content type of the ``/metrics`` exposition (the Prometheus text
-#: format version every scraper accepts).
-METRICS_CONTENT_TYPE = PROMETHEUS_CONTENT_TYPE
-
-
-class LocalDispatcher:
-    """In-process dispatcher: routes straight into a ``SessionManager``.
-
-    Implements the dispatcher contract the HTTP layer serves —
-    ``dispatch(method, path, body) -> (status, body_bytes, headers)``
-    — by calling the manager on the request thread.  Sessions
-    serialise on their own locks, so concurrent clients on different
-    sessions run in parallel while two clients racing one session are
-    safe.
-    """
-
-    def __init__(self, manager: SessionManager):
-        self.manager = manager
-        self._http_requests = manager.metrics.counter(
-            "oasis_http_requests_total",
-            "HTTP requests served, by method and response status.",
-            ("method", "status"))
-
-    def dispatch(self, method: str, path: str, body: bytes,
-                 timeout: float | None = None, *,
-                 request_id: str | None = None):
-        # ``timeout`` is accepted for dispatcher-contract parity with
-        # the ShardRouter; in-process calls cannot be abandoned
-        # mid-execution, so it is advisory here.  ``request_id`` is the
-        # trace id the HTTP front door minted (or accepted); it rides
-        # the logging context, which the front door already bound.
-        status, payload, headers = self._dispatch(method, path, body)
-        self._http_requests.inc(method=method, status=str(status))
-        return status, payload, headers
-
-    def _dispatch(self, method: str, path: str, body: bytes):
-        if method == "GET" and path == "/metrics":
-            self.manager.observe_session_telemetry()
-            text = render_prometheus(self.manager.metrics.snapshot())
-            return (200, text.encode("utf-8"),
-                    {"Content-Type": METRICS_CONTENT_TYPE})
-        try:
-            payload = self._route(method, path, body)
-        except ServiceError as exc:
-            headers = {}
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is not None:
-                headers["Retry-After"] = f"{float(retry_after):g}"
-            return (exc.status, json.dumps({"error": str(exc)})
-                    .encode("utf-8"), headers)
-        except CorruptStateError as exc:
-            return (exc.status, json.dumps({
-                "error": str(exc), "path": exc.path, "offset": exc.offset,
-            }).encode("utf-8"), {})
-        except (ValueError, TypeError) as exc:
-            return 400, json.dumps({"error": str(exc)}).encode("utf-8"), {}
-        except KeyError as exc:
-            return (404, json.dumps({"error": f"not found: {exc}"})
-                    .encode("utf-8"), {})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            return (500, json.dumps(
-                {"error": f"{type(exc).__name__}: {exc}"}).encode("utf-8"), {})
-        return 200, json.dumps(payload).encode("utf-8"), {}
-
-    def close(self, *, graceful: bool = True) -> None:
-        """Park every journalled session durably (server shutdown)."""
-        if graceful and self.manager.root_dir is not None:
-            self.manager.drain_to_disk()
-
-    # -- routing -----------------------------------------------------------
-
-    @staticmethod
-    def _parse_json(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def _route(self, method: str, path: str, raw_body: bytes) -> dict:
-        manager = self.manager
-        if path == "/healthz" and method == "GET":
-            return {
-                "status": "ok",
-                "resident_sessions": manager.resident_count,
-                "capacity": manager.capacity,
-                "wal": {"recovered": list(manager.wal_recoveries)},
-            }
-        if path == "/sessions":
-            if method == "GET":
-                return {"sessions": manager.list_sessions()}
-            if method == "POST":
-                return self._create_session(manager, raw_body)
-            raise ValueError(f"unsupported method {method} for {path}")
-        match = _SESSION_ROUTE.match(path)
-        if not match:
-            raise KeyError(path)
-        session_id, action = match.group("sid"), match.group("action")
-        if action is None:
-            if method == "GET":
-                return manager.get(session_id).status()
-            if method == "DELETE":
-                manager.close_session(session_id)
-                return {"session_id": session_id, "closed": True}
-            raise ValueError(f"unsupported method {method} for {path}")
-        if action == "estimate" and method == "GET":
-            return manager.get(session_id).estimate_payload()
-        if action == "history" and method == "GET":
-            return manager.get(session_id).history_payload()
-        if method != "POST":
-            raise ValueError(f"unsupported method {method} for {path}")
-        body = self._parse_json(raw_body)
-        session = manager.get(session_id)
-        if action == "propose":
-            return session.propose(body.get("batch_size", 1),
-                                   idempotency_key=body.get("key"))
-        if action == "ingest":
-            if "ticket" not in body or "labels" not in body:
-                raise ValueError("ingest body needs 'ticket' and 'labels'")
-            return session.ingest(body["ticket"], body["labels"],
-                                  idempotency_key=body.get("key"))
-        if action == "checkpoint":
-            return {"session_id": session_id, "seq": session.checkpoint()}
-        raise KeyError(path)  # pragma: no cover - regex-unreachable
-
-    def _create_session(self, manager: SessionManager, raw_body: bytes) -> dict:
-        body = self._parse_json(raw_body)
-        for field in ("predictions", "scores"):
-            if field not in body:
-                raise ValueError(f"create body needs {field!r}")
-        session = manager.create_session(
-            body["predictions"],
-            body["scores"],
-            sampler=body.get("sampler", "oasis"),
-            sampler_kwargs=body.get("sampler_kwargs") or {},
-            alpha=body.get("alpha"),
-            measure=body.get("measure"),
-            seed=body.get("seed", 0),
-            session_id=body.get("session_id"),
-        )
-        return session.status()
-
 
 class ServiceServer(ThreadingHTTPServer):
     """Threaded HTTP server bound to one dispatcher.
 
-    Accepts either a :class:`SessionManager` (wrapped in a
-    :class:`LocalDispatcher`, the historical constructor contract) or
-    any dispatcher object directly.
+    ``backend`` is a dispatcher such as
+    :class:`~repro.service.router.ShardRouter`, or a
+    :class:`SessionManager`, which the server runs as a one-shard pool
+    inside this process behind a router of its own;
+    :meth:`server_close` stops that pool's commit loop, leaving the
+    manager's sessions resident.
     """
 
     daemon_threads = True
@@ -251,11 +53,16 @@ class ServiceServer(ThreadingHTTPServer):
 
     def __init__(self, address, backend):
         super().__init__(address, _Handler)
+        self._owned = None
         if isinstance(backend, SessionManager):
-            backend = LocalDispatcher(backend)
+            backend = self._owned = ShardRouter(
+                LocalShardPool(_ShardState(backend)))
         self.dispatcher = backend
-        # Back-compat: in-process callers reach the manager directly.
-        self.manager = getattr(backend, "manager", None)
+
+    def server_close(self) -> None:
+        super().server_close()
+        if self._owned is not None:
+            self._owned.close(graceful=False)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -305,30 +112,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch_traced(self, method: str) -> None:
         length = int(self.headers.get("Content-Length") or 0)
         if length > _MAX_BODY_BYTES:
-            self._reply(400, json.dumps(
-                {"error": f"request body exceeds {_MAX_BODY_BYTES} bytes"}
-            ).encode("utf-8"))
-            return
+            return self._refuse(
+                f"request body exceeds {_MAX_BODY_BYTES} bytes")
         body = self.rfile.read(length) if length else b""
-        timeout = None
-        raw_timeout = self.headers.get("X-Request-Timeout")
-        if raw_timeout is not None:
+        timeout = self.headers.get("X-Request-Timeout")
+        if timeout is not None:
             try:
-                timeout = float(raw_timeout)
+                timeout = float(timeout)
             except ValueError:
-                self._reply(400, json.dumps(
-                    {"error": f"X-Request-Timeout is not a number: "
-                              f"{raw_timeout!r}"}).encode("utf-8"))
-                return
-            if timeout <= 0:
-                self._reply(400, json.dumps(
-                    {"error": "X-Request-Timeout must be positive"}
-                ).encode("utf-8"))
-                return
-        status, payload, headers = self.server.dispatcher.dispatch(
-            method, self.path, body, timeout,
-            request_id=self._request_id)
-        self._reply(status, payload, headers)
+                return self._refuse(
+                    f"X-Request-Timeout is not a number: {timeout!r}")
+            if not 0 < timeout <= threading.TIMEOUT_MAX:
+                return self._refuse(
+                    "X-Request-Timeout must be a positive, finite number")
+        self._reply(*self.server.dispatcher.dispatch(
+            method, self.path, body, timeout, request_id=self._request_id))
+
+    def _refuse(self, message: str) -> None:
+        self._reply(400, json.dumps({"error": message}).encode("utf-8"))
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         self._dispatch("GET")
@@ -344,8 +145,9 @@ def make_server(manager, host: str = "127.0.0.1",
                 port: int = 0) -> ServiceServer:
     """Bind a :class:`ServiceServer`; ``port=0`` picks a free port.
 
-    ``manager`` may be a :class:`SessionManager` (in-process serving)
-    or a dispatcher such as :class:`~repro.service.router.ShardRouter`.
+    ``manager`` may be a :class:`SessionManager` (served in-process) or
+    a dispatcher such as the router :func:`make_sharded_backend`
+    returns.
     """
     return ServiceServer((host, port), manager)
 
@@ -356,22 +158,19 @@ def make_sharded_backend(root, shards: int, *, codec: str = "json",
                          rpc_timeout: float | None = None,
                          log_format: str | None = None,
                          log_level: str | None = None):
-    """Start a shard worker pool under ``root`` and return its router.
+    """Start a shard pool under ``root`` and return its router.
 
-    Records (or verifies) the root's ``topology.json`` first — a shard
-    count disagreement is a hard error, not a silent re-route.
-    ``rpc_timeout`` (seconds, ``serve --rpc-timeout``) bounds how long
-    the router waits for a shard's answer before returning 504; a
-    client's ``X-Request-Timeout`` header overrides it per request.
-    The returned :class:`~repro.service.router.ShardRouter` plugs into
-    :func:`make_server`; call its ``close()`` to drain and stop the
-    pool.
+    ``shards=0`` runs one shard inside this process (``serve`` without
+    ``--shards``), journalling under ``<root>/<sid>/`` (``root=None``
+    is memory-only).  Otherwise the root's ``topology.json`` is
+    recorded or verified — a shard count disagreement is a hard error,
+    not a silent re-route — and one worker process per
+    ``<root>/shard-<k>/`` is spawned.  ``rpc_timeout`` (seconds) bounds
+    the wait for a shard's answer before a 504; a client's
+    ``X-Request-Timeout`` header overrides it per request.  The router
+    plugs into :func:`make_server`; its ``close()`` drains the pool.
     """
-    from repro.service.router import HashRing, ShardRouter, ShardSupervisor
-    from repro.service.router import init_topology
-
-    init_topology(root, shards, codec)
-    supervisor = ShardSupervisor(root, shards, options={
+    options = {
         "codec": codec,
         "flush_interval": flush_interval,
         "max_batch": max_batch,
@@ -379,7 +178,13 @@ def make_sharded_backend(root, shards: int, *, codec: str = "json",
         "capacity": capacity,
         "log_format": log_format,
         "log_level": log_level,
-    }, rpc_timeout=rpc_timeout).start()
+    }
+    if shards < 1:
+        return ShardRouter(LocalShardPool(open_shard(root, options),
+                                          rpc_timeout=rpc_timeout))
+    init_topology(root, shards, codec)
+    supervisor = ShardSupervisor(root, shards, options=options,
+                                 rpc_timeout=rpc_timeout).start()
     return ShardRouter(supervisor, HashRing(shards))
 
 
@@ -390,14 +195,14 @@ def serve(manager, host: str = "127.0.0.1",
     """Run the service until interrupted (the CLI ``serve`` entry point).
 
     ``manager`` is a :class:`SessionManager` for in-process serving or
-    a dispatcher (e.g. from :func:`make_sharded_backend`) for the
-    sharded tier.  ``SIGTERM`` and ``Ctrl-C`` both shut down
-    gracefully: the dispatcher drains — every journalled session is
-    checkpointed durably — before the listener closes.
+    a router from :func:`make_sharded_backend`.  ``SIGTERM`` and
+    ``Ctrl-C`` both shut down gracefully: the pool drains — every
+    journalled session is checkpointed durably — before the listener
+    closes.
 
-    With ``idle_timeout`` set (seconds) on an in-process manager, a
-    background sweeper periodically evicts journalled sessions idle
-    longer than the timeout, bounding resident memory under bursty
+    With ``idle_timeout`` set (seconds) on an in-process pool with a
+    root, a background sweeper periodically evicts journalled sessions
+    idle longer than the timeout, bounding resident memory under bursty
     multi-user traffic.
 
     ``log_format`` (``"json"``/``"text"``) and ``log_level`` configure
@@ -405,34 +210,32 @@ def serve(manager, host: str = "127.0.0.1",
     ``None`` leaves the current configuration untouched.
     """
     import signal
-    import threading
 
     configure_logging(log_format, log_level)
     log = get_logger("http")
     server = make_server(manager, host, port)
     bound_host, bound_port = server.server_address[:2]
-    backend = server.manager if server.manager is not None else manager
-    root = getattr(backend, "root_dir", None)
-    if root is None:
-        root = getattr(getattr(manager, "supervisor", None), "root", None)
+    pool = server.dispatcher.supervisor
+    root, capacity = pool.root, pool.options.get("capacity")
     # The stdout line is a startup contract — the smoke scripts and
     # benchmark harness parse the bound address out of it — so it stays
     # a plain print regardless of the structured-log settings.
     print(f"serving evaluation sessions on http://{bound_host}:{bound_port} "
-          f"(root={root}, capacity={getattr(backend, 'capacity', None)})",
-          flush=True)
+          f"(root={root}, capacity={capacity})", flush=True)
     log.info("serving", host=str(bound_host), port=int(bound_port),
-             root=None if root is None else str(root),
-             capacity=getattr(backend, "capacity", None))
+             root=None if root is None else str(root), capacity=capacity)
     stop = threading.Event()
-    if (idle_timeout is not None and server.manager is not None
-            and server.manager.root_dir is not None):
-        def sweeper():
+    sweeper = None
+    local = getattr(pool, "manager", None)
+    if (idle_timeout is not None and local is not None
+            and local.root_dir is not None):
+        def sweep():
             while not stop.wait(min(idle_timeout, 60.0)):
-                for session_id in server.manager.evict_idle(idle_timeout):
+                for session_id in local.evict_idle(idle_timeout):
                     log.info("idle_session_evicted", session=session_id)
 
-        threading.Thread(target=sweeper, daemon=True).start()
+        sweeper = threading.Thread(target=sweep, daemon=True)
+        sweeper.start()
 
     def _sigterm(*_):
         # shutdown() must run off the serve_forever thread.
@@ -446,9 +249,9 @@ def serve(manager, host: str = "127.0.0.1",
     finally:
         signal.signal(signal.SIGTERM, previous)
         stop.set()
-        closer = getattr(server.dispatcher, "close", None)
-        if closer is not None:
-            closer(graceful=True)
+        if sweeper is not None:
+            sweeper.join()
+        server.dispatcher.close(graceful=True)
         server.server_close()
         print("service drained and stopped", flush=True)
         log.info("stopped")

@@ -25,9 +25,18 @@ from repro.service.session import EvaluationSession
 from repro.service.wal import SessionWAL
 from repro.utils import MetricsRegistry, check_count, get_logger
 
-__all__ = ["SessionManager"]
+__all__ = ["SessionManager", "check_session_id"]
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+
+def check_session_id(session_id) -> None:
+    """Raise ``ValueError`` unless ``session_id`` is a valid session id."""
+    if not isinstance(session_id, str) or not _ID_RE.match(session_id):
+        raise ValueError(
+            f"session_id {session_id!r} must be 1-64 filesystem-safe "
+            "characters (letters, digits, '.', '_', '-')"
+        )
 
 #: How many WAL recovery records a manager retains for ``/healthz``.
 #: Recoveries are rare (one per torn-tail crash); the cap only guards
@@ -113,11 +122,8 @@ class SessionManager:
         the manager is full and nothing can be evicted.
         """
         session_id = kwargs.pop("session_id", None)
-        if session_id is not None and not _ID_RE.match(session_id):
-            raise ValueError(
-                f"session_id {session_id!r} must be 1-64 filesystem-safe "
-                "characters (letters, digits, '.', '_', '-')"
-            )
+        if session_id is not None:
+            check_session_id(session_id)
         with self._registry_lock:
             if session_id is not None and self._exists(session_id):
                 raise ValueError(f"session {session_id!r} already exists")
@@ -146,14 +152,8 @@ class SessionManager:
             return True
         return (
             self.root_dir is not None
-            and (self.root_dir / session_id / SessionManager._manifest()).is_file()
+            and (self.root_dir / session_id / SessionWAL.MANIFEST).is_file()
         )
-
-    @staticmethod
-    def _manifest() -> str:
-        from repro.service.wal import SessionWAL
-
-        return SessionWAL.MANIFEST
 
     def get(self, session_id: str) -> EvaluationSession:
         """The live session, transparently restoring an evicted one.
@@ -171,7 +171,7 @@ class SessionManager:
             if self.root_dir is None or not _ID_RE.match(session_id):
                 raise SessionNotFoundError(f"no session {session_id!r}")
             directory = self.root_dir / session_id
-            if not (directory / self._manifest()).is_file():
+            if not (directory / SessionWAL.MANIFEST).is_file():
                 raise SessionNotFoundError(f"no session {session_id!r}")
             load_lock = self._load_locks.setdefault(session_id,
                                                     threading.Lock())
@@ -340,7 +340,7 @@ class SessionManager:
                 for directory in sorted(self.root_dir.iterdir()):
                     if directory.name in seen or not directory.is_dir():
                         continue
-                    if (directory / self._manifest()).is_file():
+                    if (directory / SessionWAL.MANIFEST).is_file():
                         out.append({
                             "session_id": directory.name,
                             "resident": False,

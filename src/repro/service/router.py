@@ -23,8 +23,13 @@ Pieces, bottom up:
   collects their ports, and restarts any that die (a crashed worker's
   sessions restore from their journals on first touch).  While a shard
   is down its requests fail fast with backpressure, never hang.
-* :class:`ShardRouter` — the HTTP dispatcher: routes, fans out
-  ``/sessions`` and ``/healthz``, and renders worker backpressure as
+* :class:`LocalShardPool` — the same surface for one shard run inside
+  this process (the single-process server): the worker's own state,
+  admission and commit loop, fed by the router's calls instead of a
+  socket.
+* :class:`ShardRouter` — the HTTP dispatcher: routes through the
+  :mod:`~repro.service.protocol` table, fans out ``/sessions``,
+  ``/healthz`` and ``/metrics``, and renders worker backpressure as
   503 + ``Retry-After``.
 
 A sharded root is stamped with ``topology.json`` (shard count, WAL
@@ -40,10 +45,10 @@ import hashlib
 import json
 import multiprocessing
 import os
-import re
 import signal
 import threading
 import time
+import traceback
 import uuid
 from pathlib import Path
 
@@ -52,8 +57,16 @@ from repro.service.errors import (
     OverloadError,
     ServiceError,
 )
+from repro.service.manager import check_session_id
+from repro.service.protocol import error_reply, parse_body, route
 from repro.service.rpc import recv_frame, send_frame
-from repro.service.shard import SHARD_DEFAULTS, shard_dir_name, shard_worker_main
+from repro.service.shard import (
+    _commit_loop,
+    admit,
+    shard_dir_name,
+    shard_options,
+    shard_worker_main,
+)
 from repro.utils import (
     CounterResetAccumulator,
     MetricsRegistry,
@@ -68,17 +81,11 @@ __all__ = [
     "HashRing",
     "ShardClient",
     "ShardSupervisor",
+    "LocalShardPool",
     "ShardRouter",
     "load_topology",
     "init_topology",
 ]
-
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-_SESSION_ROUTE = re.compile(
-    r"^/sessions/(?P<sid>[A-Za-z0-9._-]+)"
-    r"(?:/(?P<action>propose|ingest|estimate|checkpoint|history))?$"
-)
 
 TOPOLOGY_FILE = "topology.json"
 
@@ -171,6 +178,13 @@ class _Waiter:
     def __init__(self):
         self.event = threading.Event()
         self.response = None
+
+    def reply(self, request_id, status: int, payload: dict,
+              retry_after: float | None = None) -> None:
+        """A shard's reply, when the shard runs in this process."""
+        self.response = (int(status), json.dumps(payload).encode("utf-8"),
+                         retry_after)
+        self.event.set()
 
 
 class ShardClient:
@@ -306,8 +320,6 @@ class ShardClient:
         but did not answer in time (may have executed — retry with an
         idempotency key).
         """
-        if timeout is None:
-            timeout = self.timeout
         if request_id is None:
             request_id = current_request_id()
         sock = self._ensure_connected()
@@ -332,12 +344,39 @@ class ShardClient:
                 raise OverloadError(
                     f"shard {self.index} went away mid-send; retry",
                     retry_after=0.2) from exc
+        return self._await(waiter, timeout, frame_id)
+
+    def _await(self, waiter: _Waiter, timeout: float | None, frame_id=None):
+        if timeout is None:
+            timeout = self.timeout
         if not waiter.event.wait(timeout):
             self._pending.pop(frame_id, None)
             raise DeadlineExceededError(
                 f"shard {self.index} did not answer within {timeout:g}s; "
                 "the request may still execute")
         return waiter.response
+
+
+class LocalShardClient(ShardClient):
+    """The router's client for a shard run in this process.
+
+    A request goes straight to the shard's :func:`~repro.service.shard.admit`
+    (the step a worker's connection reader performs per frame), and the
+    reply comes back through a waiter instead of a socket.
+    """
+
+    def __init__(self, state, *, timeout: float | None = None):
+        super().__init__(0, timeout=timeout)
+        self.state = state
+
+    def request_raw(self, op: str, sid: str | None = None, body: bytes = b"",
+                    timeout: float | None = None,
+                    request_id: str | None = None):
+        waiter = _Waiter()
+        admit(self.state, waiter, {
+            "op": op, "sid": sid, "rid": request_id or current_request_id(),
+        }, body)
+        return self._await(waiter, timeout)
 
 
 # -- supervisor ------------------------------------------------------------
@@ -352,7 +391,29 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-class ShardSupervisor:
+class _ShardPool:
+    """A pool as the router sees it: ``clients``, ``restarts``, ``stop``."""
+
+    def shard_stats(self, timeout: float = 2.0) -> list[dict]:
+        """Per-shard worker stats; unreachable shards report status down."""
+        out = []
+        for index, client in enumerate(self.clients):
+            entry = {"shard": index, "restarts": self.restarts[index]}
+            try:
+                status, payload, _ = client.request(
+                    "stats", timeout=timeout)
+                if status == 200:
+                    entry.update(payload)
+                    entry["status"] = "ok"
+                else:
+                    entry["status"] = "down"
+            except ServiceError:
+                entry["status"] = "down"
+            out.append(entry)
+        return out
+
+
+class ShardSupervisor(_ShardPool):
     """Spawns, watches and restarts the pool of shard workers.
 
     A worker that dies — crash or kill — is restarted against the same
@@ -367,11 +428,7 @@ class ShardSupervisor:
                  rpc_timeout: float | None = None):
         self.root = Path(root)
         self.n_shards = int(n_shards)
-        options = dict(options or {})
-        unknown = set(options) - set(SHARD_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown shard options {sorted(unknown)}")
-        self.options = options
+        self.options = shard_options(options)
         self.start_timeout = start_timeout
         self.rpc_timeout = rpc_timeout
         self.clients: list[ShardClient] = []
@@ -491,23 +548,42 @@ class ShardSupervisor:
                 for process in self.processes
             ]
 
-    def shard_stats(self, timeout: float = 2.0) -> list[dict]:
-        """Per-shard worker stats; unreachable shards report status down."""
-        out = []
-        for index, client in enumerate(self.clients):
-            entry = {"shard": index, "restarts": self.restarts[index]}
-            try:
-                status, payload, _ = client.request(
-                    "stats", timeout=timeout)
-                if status == 200:
-                    entry.update(payload)
-                    entry["status"] = "ok"
-                else:
-                    entry["status"] = "down"
-            except ServiceError:
-                entry["status"] = "down"
-            out.append(entry)
-        return out
+
+class LocalShardPool(_ShardPool):
+    """A pool of one shard run inside this process.
+
+    The single-process server (``serve`` without ``--shards``,
+    :func:`~repro.service.http.make_server` over a
+    :class:`~repro.service.manager.SessionManager`) serves through it.
+    The shard is a worker's own: its state, admission and commit loop,
+    the loop on a thread fed by the router's calls instead of a socket.
+    So health, listing, scrapes, backpressure, deadlines, read-only mode
+    and drain have one implementation for both tiers.  Sessions journal
+    straight under the manager's root (``<root>/<sid>/``).  There is no
+    process to restart.
+    """
+
+    n_shards = 1
+
+    def __init__(self, state, *, rpc_timeout: float | None = None):
+        self.state = state
+        self.manager = state.manager
+        self.root = state.manager.root_dir
+        self.options = state.options
+        self.restarts = [0]
+        self.clients = [LocalShardClient(state, timeout=rpc_timeout)]
+        self._thread = threading.Thread(
+            target=_commit_loop, args=(state,), name="repro-shard-local",
+            daemon=True)
+        self._thread.start()
+
+    def stop(self, *, graceful: bool = True, timeout: float = 30.0) -> None:
+        """Finish the queued requests and stop the commit loop; graceful
+        also checkpoints every resident session (unless read-only)."""
+        self.state.drain()
+        self._thread.join(timeout)
+        if graceful and not self.state.read_only:
+            self.manager.drain_to_disk()
 
 
 # -- the dispatcher --------------------------------------------------------
@@ -517,16 +593,15 @@ class ShardRouter:
 
     ``dispatch`` receives the already-read request (method, path, raw
     body bytes) from the HTTP front-end and returns
-    ``(status, body_bytes, extra_headers)``.  Bodies pass through to
+    ``(status, body_bytes, extra_headers)``.  Requests route through
+    the :mod:`~repro.service.protocol` table; bodies pass through to
     and from the owning shard untouched except for session creation,
-    where the router must parse once to assign/validate the id it
-    routes by.
+    where the router parses once to assign or check the id it routes
+    by.  ``supervisor`` is a :class:`ShardSupervisor` or a
+    :class:`LocalShardPool`.
     """
 
-    # Paths every shard answers; anything else routes by session id.
-    _ACTIONS = {"propose", "ingest", "estimate", "checkpoint", "history"}
-
-    def __init__(self, supervisor: ShardSupervisor,
+    def __init__(self, supervisor: _ShardPool,
                  ring: HashRing | None = None):
         self.supervisor = supervisor
         self.ring = ring or HashRing(supervisor.n_shards)
@@ -546,15 +621,12 @@ class ShardRouter:
             "oasis_worker_restarts",
             "Times each shard worker has been restarted.", ("shard",))
 
-    def _request(self, shard: int, op: str, sid: str | None = None,
-                 body: bytes = b"", timeout: float | None = None):
-        # The shard's reply bytes are forwarded as received.
-        status, reply, retry_after = self.supervisor.clients[
-            shard].request_raw(op, sid=sid, body=body, timeout=timeout)
+    @staticmethod
+    def _reply(status: int, body: bytes, retry_after: float | None = None):
         headers = {}
         if retry_after is not None:
             headers["Retry-After"] = f"{max(float(retry_after), 0.0):g}"
-        return status, reply or b"{}", headers
+        return status, body, headers
 
     def dispatch(self, method: str, path: str, body: bytes,
                  timeout: float | None = None, *,
@@ -567,90 +639,73 @@ class ShardRouter:
         door's trace id) rides the shard RPC frames via the logging
         context the HTTP handler bound.
         """
-        status, payload, headers = self._dispatch_guarded(
-            method, path, body, timeout)
+        try:
+            status, payload, headers = self._dispatch(
+                method, path, body, timeout)
+        except Exception as exc:  # the front door must keep serving
+            status, error, retry_after = error_reply(exc)
+            if status == 500:
+                get_logger("router").error(
+                    "request_failed", path=path, error=error["error"],
+                    traceback=traceback.format_exc())
+            status, payload, headers = self._reply(
+                status, json.dumps(error).encode("utf-8"), retry_after)
         self._http_requests.inc(method=method, status=str(status))
         return status, payload, headers
 
-    def _dispatch_guarded(self, method: str, path: str, body: bytes,
-                          timeout: float | None = None):
-        try:
-            return self._dispatch(method, path, body, timeout)
-        except OverloadError as exc:
-            payload = json.dumps({"error": str(exc)}).encode("utf-8")
-            return exc.status, payload, {
-                "Retry-After": f"{exc.retry_after:g}"}
-        except ServiceError as exc:
-            payload = json.dumps({"error": str(exc)}).encode("utf-8")
-            return exc.status, payload, {}
-        except (ValueError, TypeError) as exc:
-            return 400, json.dumps({"error": str(exc)}).encode("utf-8"), {}
-        except KeyError as exc:
-            return (404, json.dumps({"error": f"not found: {exc}"})
-                    .encode("utf-8"), {})
-
     def _dispatch(self, method: str, path: str, body: bytes,
                   timeout: float | None = None):
-        if path == "/metrics" and method == "GET":
+        op, sid = route(method, path)
+        if op == "metrics":
             return self._scrape(timeout)
-        if path == "/healthz" and method == "GET":
-            shards = self.supervisor.shard_stats()
-            healthy = sum(1 for shard in shards if shard["status"] == "ok")
-            read_only = sum(
-                1 for shard in shards if shard.get("read_only"))
-            status_word = "ok" if healthy == len(shards) else "degraded"
-            if read_only:
-                status_word = "degraded"
-            recovered = [
+        if op == "healthz":
+            return self._reply(200, json.dumps(self._health()).encode("utf-8"))
+        if op == "list":
+            return self._reply(200, json.dumps(self._list()).encode("utf-8"))
+        if op == "create":
+            # The one body the router reads: a create's id picks its
+            # shard, so the router assigns it when the client did not.
+            fields = parse_body(body)
+            sid = fields.get("session_id")
+            if sid is None:
+                sid = fields["session_id"] = uuid.uuid4().hex[:12]
+                body = json.dumps(fields).encode("utf-8")
+            check_session_id(sid)
+        # The shard's reply bytes are forwarded as received.
+        status, reply, retry_after = self.supervisor.clients[
+            self.ring.shard_for(sid)].request_raw(op, sid, body, timeout)
+        return self._reply(status, reply or b"{}", retry_after)
+
+    def _health(self) -> dict:
+        shards = self.supervisor.shard_stats()
+        healthy = sum(1 for shard in shards if shard["status"] == "ok")
+        read_only = sum(1 for shard in shards if shard.get("read_only"))
+        return {
+            "status": ("ok" if healthy == len(shards) and not read_only
+                       else "degraded"),
+            "shards": shards,
+            "resident_sessions": sum(
+                shard.get("resident_sessions", 0) for shard in shards),
+            "queue_depth": sum(
+                shard.get("queue_depth", 0) for shard in shards),
+            "read_only_shards": read_only,
+            "wal": {"recovered": [
                 {"shard": shard["shard"], **entry}
                 for shard in shards
                 for entry in (shard.get("wal_recovered") or [])
-            ]
-            payload = {
-                "status": status_word,
-                "shards": shards,
-                "resident_sessions": sum(
-                    shard.get("resident_sessions", 0) for shard in shards),
-                "queue_depth": sum(
-                    shard.get("queue_depth", 0) for shard in shards),
-                "read_only_shards": read_only,
-                "wal": {"recovered": recovered},
-            }
-            return 200, json.dumps(payload).encode("utf-8"), {}
-        if path == "/sessions":
-            if method == "GET":
-                sessions = []
-                for index in range(self.supervisor.n_shards):
-                    status, payload, _ = self.supervisor.clients[
-                        index].request("list")
-                    if status == 200:
-                        for entry in payload.get("sessions", []):
-                            entry["shard"] = index
-                            sessions.append(entry)
-                sessions.sort(key=lambda entry: entry.get("session_id", ""))
-                return (200, json.dumps({"sessions": sessions})
-                        .encode("utf-8"), {})
-            if method == "POST":
-                return self._create(body, timeout)
-            raise ValueError(f"unsupported method {method} for {path}")
-        match = _SESSION_ROUTE.match(path)
-        if not match:
-            raise KeyError(path)
-        sid, action = match.group("sid"), match.group("action")
-        shard = self.ring.shard_for(sid)
-        if action is None:
-            if method == "GET":
-                return self._request(shard, "status", sid, timeout=timeout)
-            if method == "DELETE":
-                return self._request(shard, "close", sid, timeout=timeout)
-            raise ValueError(f"unsupported method {method} for {path}")
-        if action in ("estimate", "history"):
-            if method != "GET":
-                raise ValueError(f"unsupported method {method} for {path}")
-            return self._request(shard, action, sid, timeout=timeout)
-        if method != "POST":
-            raise ValueError(f"unsupported method {method} for {path}")
-        return self._request(shard, action, sid, body, timeout=timeout)
+            ]},
+        }
+
+    def _list(self) -> dict:
+        sessions = []
+        for index, client in enumerate(self.supervisor.clients):
+            status, payload, _ = client.request("list")
+            if status == 200:
+                for entry in payload.get("sessions", []):
+                    entry["shard"] = index
+                    sessions.append(entry)
+        sessions.sort(key=lambda entry: entry.get("session_id", ""))
+        return {"sessions": sessions}
 
     def _scrape(self, timeout: float | None = None):
         """Fan ``/metrics`` out to every worker and merge the registries.
@@ -686,27 +741,6 @@ class ShardRouter:
         text = self.metrics.render(snapshots)
         return (200, text.encode("utf-8"),
                 {"Content-Type": PROMETHEUS_CONTENT_TYPE})
-
-    def _create(self, body: bytes, timeout: float | None = None):
-        # The one place the router parses a body: creation needs the
-        # session id (assigned here if absent) to know its shard.
-        try:
-            payload = json.loads(body) if body else {}
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        sid = payload.get("session_id")
-        if sid is None:
-            sid = uuid.uuid4().hex[:12]
-            payload["session_id"] = sid
-            body = json.dumps(payload).encode("utf-8")
-        elif not _ID_RE.match(sid):
-            raise ValueError(
-                f"session_id {sid!r} must be 1-64 filesystem-safe "
-                "characters (letters, digits, '.', '_', '-')")
-        shard = self.ring.shard_for(sid)
-        return self._request(shard, "create", sid, body, timeout=timeout)
 
     def close(self, *, graceful: bool = True) -> None:
         self.supervisor.stop(graceful=graceful)

@@ -28,7 +28,6 @@ re-running a logged propose re-draws the same pairs).
 
 from __future__ import annotations
 
-import errno
 import threading
 import uuid
 from collections import OrderedDict
@@ -39,6 +38,7 @@ from repro.core.base import TRAJECTORY
 from repro.oracle.base import BaseOracle
 from repro.service.codec import decode_state, encode_state
 from repro.service.errors import (
+    VOLUME_FULL_ERRNOS,
     CorruptStateError,
     SessionConflictError,
     SessionNotFoundError,
@@ -59,7 +59,6 @@ MANIFEST_FORMAT_VERSION = 1
 #: a client retries its *latest* request, not one from hundreds ago.
 DEDUP_WINDOW = 256
 
-_ENOSPC_ERRNOS = (errno.ENOSPC, errno.EDQUOT)
 
 
 def _sampler_kinds() -> dict:
@@ -354,27 +353,33 @@ class EvaluationSession:
             return None
         return dict(response)
 
-    def _journal(self, kind: str, payload: dict,
-                 idempotency_key=None) -> None:
-        """Append one event, mapping a full disk to backpressure.
+    def _journal(self, kind: str, payload: dict, idempotency_key=None, *,
+                 flush: bool = False) -> int | None:
+        """Append one event (then flush, if asked), mapping a full disk
+        to backpressure; returns the event's sequence number.
 
         The event is journalled *before* the in-memory mutation, so an
         ``ENOSPC``/``EDQUOT`` here means the request simply did not
         happen — rendered as the retryable 503
         :class:`~repro.service.errors.StorageFullError`, never as
-        corrupted state.
+        corrupted state.  A memory-only session journals nothing.
         """
+        if self.wal is None:
+            return None
         if idempotency_key is not None:
             payload = {**payload, "key": str(idempotency_key)}
         try:
-            self.wal.append(kind, payload)
+            seq = self.wal.append(kind, payload)
+            if flush:
+                self.wal.flush()
         except OSError as exc:
-            if exc.errno in _ENOSPC_ERRNOS:
+            if exc.errno in VOLUME_FULL_ERRNOS:
                 raise StorageFullError(
                     f"journal volume full; session {self.session_id} "
                     f"could not log its {kind} event ({exc})"
                 ) from exc
             raise
+        return seq
 
     def propose(self, batch_size: int, *, idempotency_key=None) -> dict:
         """Propose the next batch of draws; returns the pairs to label.
@@ -411,11 +416,9 @@ class EvaluationSession:
                     "its labels (see status()) before proposing again"
                 )
             ticket = self._ticket + 1
-            if self.wal is not None:
-                self._journal(
-                    "propose", {"ticket": ticket, "batch_size": batch_size},
-                    idempotency_key,
-                )
+            self._journal("propose", {"ticket": ticket,
+                                      "batch_size": batch_size},
+                          idempotency_key)
             response = self._do_propose(batch_size, expected_ticket=ticket)
             self._draws_total.inc(batch_size, session=self.session_id)
             if idempotency_key is not None:
@@ -481,11 +484,8 @@ class EvaluationSession:
                     f"ticket {self._pending['ticket']}"
                 )
             labels = self._align_labels(labels)
-            if self.wal is not None:
-                self._journal(
-                    "ingest", {"ticket": int(ticket), "labels": labels},
-                    idempotency_key,
-                )
+            self._journal("ingest", {"ticket": int(ticket), "labels": labels},
+                          idempotency_key)
             response = self._do_ingest(int(ticket), labels)
             self._labels_total.inc(len(labels), session=self.session_id)
             if idempotency_key is not None:
@@ -581,16 +581,7 @@ class EvaluationSession:
                 payload["dedup"] = [
                     [key, response] for key, response in self._dedup.items()
                 ]
-            try:
-                seq = self.wal.append("checkpoint", payload)
-                self.wal.flush()
-            except OSError as exc:
-                if exc.errno in _ENOSPC_ERRNOS:
-                    raise StorageFullError(
-                        f"journal volume full; session {self.session_id} "
-                        f"could not checkpoint ({exc})"
-                    ) from exc
-                raise
+            seq = self._journal("checkpoint", payload, flush=True)
             self._journalled_draws = draws
             return seq
 
@@ -680,9 +671,7 @@ class EvaluationSession:
     def estimate_payload(self) -> dict:
         """Status plus every auxiliary estimate the sampler exposes.
 
-        The ``GET /sessions/{id}/estimate`` rendering, shared by the
-        in-process HTTP front-end and the shard RPC so the two tiers
-        cannot drift.
+        The ``GET /sessions/{id}/estimate`` rendering.
         """
         with self._lock:
             out = self.status()

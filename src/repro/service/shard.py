@@ -11,11 +11,12 @@ socket whose port it reports through a bootstrap pipe at startup.
 The worker is organised around a single **commit loop** (the main
 thread):
 
-1. Reader threads (one per router connection) decode frames into a
-   *bounded* inbox.  A full inbox is answered immediately with a
-   backpressure reply (HTTP 503 + ``Retry-After`` once the router
-   renders it) — the request is never half-taken; ``stats`` / ``ping``
-   are answered out-of-band so health stays observable under overload.
+1. Reader threads (one per router connection) decode frames and
+   :func:`admit` each into a *bounded* inbox.  A full inbox is answered
+   immediately with a backpressure reply (HTTP 503 + ``Retry-After``
+   once the router renders it) — the request is never half-taken;
+   ``stats`` / ``ping`` / ``metrics`` / ``drain`` are answered
+   out-of-band so health stays observable under overload.
 2. The commit loop drains up to ``max_batch`` queued requests (waiting
    up to ``flush_interval`` after the first to let a group form),
    executes them against the manager — journal events land in each
@@ -35,11 +36,15 @@ durability stage in between).
 ``SIGTERM`` is graceful drain: stop admitting work, finish the queue,
 flush, checkpoint every resident session to disk, exit 0.  ``SIGKILL``
 is the crash path the journal exists for.
+
+The single-process server runs the same shard inside its own process
+(:class:`~repro.service.router.LocalShardPool`): :func:`open_shard`
+builds it, the router calls :func:`admit` directly, and the commit loop
+runs on a thread.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import queue
@@ -48,13 +53,15 @@ import socket
 import sys
 import threading
 import time
+import traceback
 
-from repro.service.errors import (
-    CorruptStateError,
-    ServiceError,
-    StorageFullError,
-)
 from repro.service.manager import SessionManager
+from repro.service.protocol import (
+    MUTATING_OPS,
+    error_reply,
+    execute,
+    storage_full,
+)
 from repro.service.rpc import recv_frame, send_frame
 from repro.service.wal import GroupCommitWAL, WAL_CODECS
 from repro.utils import (
@@ -65,11 +72,8 @@ from repro.utils import (
 )
 from repro.utils.metrics import SIZE_BUCKETS
 
-__all__ = ["shard_worker_main", "shard_dir_name", "SHARD_DEFAULTS"]
-
-#: Ops refused while the shard is read-only (journal volume full).
-_MUTATING_OPS = frozenset({"create", "propose", "ingest", "checkpoint",
-                           "close"})
+__all__ = ["shard_worker_main", "shard_dir_name", "open_shard",
+           "SHARD_DEFAULTS"]
 
 SHARD_DEFAULTS = {
     "codec": "json",          # WAL shard serialisation: "json" | "binary"
@@ -81,6 +85,17 @@ SHARD_DEFAULTS = {
     "log_format": None,       # structured-log format: "json" | "text"
     "log_level": None,        # structured-log level
 }
+
+
+def shard_options(options: dict | None = None) -> dict:
+    """``options`` over :data:`SHARD_DEFAULTS`; unknown keys or codecs raise."""
+    merged = {**SHARD_DEFAULTS, **(options or {})}
+    unknown = set(merged) - set(SHARD_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown shard options {sorted(unknown)}")
+    if merged["codec"] not in WAL_CODECS:
+        raise ValueError(f"unknown WAL codec {merged['codec']!r}")
+    return merged
 
 
 def shard_dir_name(index: int) -> str:
@@ -116,11 +131,14 @@ class _Conn:
 class _ShardState:
     """Everything the threads share, plus plain-int telemetry counters."""
 
-    def __init__(self, manager: SessionManager, options: dict, plan):
+    def __init__(self, manager: SessionManager, options: dict | None = None,
+                 plan=None):
         self.manager = manager
-        self.options = options
+        self.options = {**shard_options(options),
+                        "capacity": manager.capacity}
         self.plan = plan
-        self.inbox: queue.Queue = queue.Queue(maxsize=options["max_queue"])
+        self.inbox: queue.Queue = queue.Queue(
+            maxsize=self.options["max_queue"])
         self.draining = threading.Event()
         self.batches = 0
         self.requests = 0
@@ -158,6 +176,11 @@ class _ShardState:
         self.overloads += 1
         self._overloads_total.inc()
 
+    def drain(self) -> dict:
+        """Stop admitting work; the commit loop exits once the inbox empties."""
+        self.draining.set()
+        return {"draining": True}
+
     def metrics_snapshot(self) -> dict:
         """The registry snapshot shipped to the router on a scrape."""
         self._queue_gauge.set(self.inbox.qsize())
@@ -183,138 +206,77 @@ class _ShardState:
 
 
 def _execute(state: _ShardState, header: dict, body: bytes):
-    """Run one request.
+    """Run one request: the read-only check, then the protocol op.
 
-    Returns ``(status, payload, dirty_session_or_None, retry_after)``;
-    ``retry_after`` is non-None only for backpressure replies the
-    router should render with a ``Retry-After`` header.
+    Returns ``(status, payload, session_to_flush_or_None, retry_after)``.
     """
-    manager = state.manager
     op = header.get("op")
-    sid = header.get("sid")
-    if state.read_only and op in _MUTATING_OPS:
+    if state.read_only and op in MUTATING_OPS:
         state.note_overload()
         return 503, {
             "error": f"shard is read-only ({state.read_only_reason}); "
                      "mutating requests are refused until it restarts"
         }, None, 5.0
     try:
-        payload = json.loads(body) if body else {}
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        if op == "create":
-            for field in ("predictions", "scores"):
-                if field not in payload:
-                    raise ValueError(f"create body needs {field!r}")
-            session = manager.create_session(
-                payload["predictions"],
-                payload["scores"],
-                sampler=payload.get("sampler", "oasis"),
-                sampler_kwargs=payload.get("sampler_kwargs") or {},
-                alpha=payload.get("alpha"),
-                measure=payload.get("measure"),
-                seed=payload.get("seed", 0),
-                session_id=payload.get("session_id") or sid,
-            )
-            return 200, session.status(), None, None
-        if op == "status":
-            return 200, manager.get(sid).status(), None, None
-        if op == "estimate":
-            return 200, manager.get(sid).estimate_payload(), None, None
-        if op == "history":
-            return 200, manager.get(sid).history_payload(), None, None
-        if op == "propose":
-            session = manager.get(sid)
-            result = session.propose(
-                payload.get("batch_size", 1),
-                idempotency_key=payload.get("key"),
-            )
-            return 200, result, session, None
-        if op == "ingest":
-            if "ticket" not in payload or "labels" not in payload:
-                raise ValueError("ingest body needs 'ticket' and 'labels'")
-            session = manager.get(sid)
-            result = session.ingest(
-                payload["ticket"], payload["labels"],
-                idempotency_key=payload.get("key"),
-            )
-            return 200, result, session, None
-        if op == "checkpoint":
-            seq = manager.get(sid).checkpoint()
-            return 200, {"session_id": sid, "seq": seq}, None, None
-        if op == "close":
-            manager.close_session(sid)
-            return 200, {"session_id": sid, "closed": True}, None, None
-        if op == "list":
-            return 200, {"sessions": manager.list_sessions()}, None, None
-        raise ValueError(f"unknown shard op {op!r}")
-    except StorageFullError as exc:
-        state.enter_read_only(exc)
-        state.note_overload()
-        return exc.status, {"error": str(exc)}, None, exc.retry_after
-    except CorruptStateError as exc:
-        return exc.status, {
-            "error": str(exc), "path": exc.path, "offset": exc.offset,
-        }, None, None
-    except ServiceError as exc:
-        return exc.status, {"error": str(exc)}, None, getattr(
-            exc, "retry_after", None)
-    except (ValueError, TypeError) as exc:
-        return 400, {"error": str(exc)}, None, None
-    except KeyError as exc:
-        return 404, {"error": f"not found: {exc}"}, None, None
-    except OSError as exc:
-        if exc.errno in (errno.ENOSPC, errno.EDQUOT):
-            # A synchronous write (manifest, per-event shard) hit a
-            # full volume.  Journal-before-mutate means the request
-            # simply did not happen; degrade to read-only.
+        payload, session = execute(state.manager, op, header.get("sid"), body)
+    except Exception as exc:  # the commit loop must keep serving
+        if storage_full(exc):
             state.enter_read_only(exc)
             state.note_overload()
-            return 503, {"error": f"journal volume full: {exc}"}, None, 5.0
-        return 500, {"error": f"{type(exc).__name__}: {exc}"}, None, None
-    except Exception as exc:  # pragma: no cover - last-resort guard
-        return 500, {"error": f"{type(exc).__name__}: {exc}"}, None, None
+        status, payload, retry_after = error_reply(exc)
+        if status == 500:
+            state.log.error("request_failed", op=str(op),
+                            error=payload["error"],
+                            traceback=traceback.format_exc())
+        return status, payload, None, retry_after
+    return 200, payload, session, None
+
+
+#: Ops answered on arrival rather than queued: health, scrapes and drain
+#: must work however jammed the inbox is.
+_OUT_OF_BAND = {
+    "ping": lambda state: {"ok": True},
+    "stats": _ShardState.stats,
+    "metrics": _ShardState.metrics_snapshot,
+    "drain": _ShardState.drain,
+}
+
+
+def admit(state: _ShardState, conn, header: dict, body: bytes) -> None:
+    """Take one request off a router connection (or, in-process, the router).
+
+    Out-of-band ops are answered at once; everything else is queued for
+    the commit loop, or refused with backpressure (503 + ``Retry-After``)
+    while draining or when the inbox is full — never half-taken.
+    ``conn`` is anything with the :meth:`_Conn.reply` signature.
+    """
+    answer = _OUT_OF_BAND.get(header.get("op"))
+    if answer is not None:
+        conn.reply(header.get("id"), 200, answer(state))
+        return
+    if state.draining.is_set():
+        state.note_overload()
+        conn.reply(header.get("id"), 503,
+                   {"error": "shard is draining for shutdown"},
+                   retry_after=1.0)
+        return
+    try:
+        state.inbox.put_nowait((conn, header, body))
+    except queue.Full:
+        state.note_overload()
+        conn.reply(header.get("id"), 503,
+                   {"error": "shard queue is full; retry"},
+                   retry_after=max(state.options["flush_interval"], 0.05))
 
 
 def _conn_loop(state: _ShardState, conn: _Conn) -> None:
-    """Per-connection reader: frames in, backpressure out."""
-    retry_after = max(state.options["flush_interval"], 0.05)
+    """Per-connection reader: frames in, :func:`admit` each."""
     while True:
         try:
             header, body = recv_frame(conn.rfile)
         except (ConnectionError, ValueError, OSError):
             return
-        op = header.get("op")
-        if op == "ping":
-            conn.reply(header.get("id"), 200, {"ok": True})
-            continue
-        if op == "stats":
-            # Out-of-band so health reporting cannot be starved by a
-            # jammed inbox — observability under overload is the point.
-            conn.reply(header.get("id"), 200, state.stats())
-            continue
-        if op == "metrics":
-            # Scrapes are read-only and must work while the inbox is
-            # jammed, for the same reason as stats.
-            conn.reply(header.get("id"), 200, state.metrics_snapshot())
-            continue
-        if op == "drain":
-            state.draining.set()
-            conn.reply(header.get("id"), 200, {"draining": True})
-            continue
-        if state.draining.is_set():
-            state.note_overload()
-            conn.reply(header.get("id"), 503,
-                       {"error": "shard is draining for shutdown"},
-                       retry_after=1.0)
-            continue
-        try:
-            state.inbox.put_nowait((conn, header, body))
-        except queue.Full:
-            state.note_overload()
-            conn.reply(header.get("id"), 503,
-                       {"error": "shard queue is full; retry"},
-                       retry_after=retry_after)
+        admit(state, conn, header, body)
 
 
 def _collect_batch(state: _ShardState) -> list | None:
@@ -345,7 +307,9 @@ def _collect_batch(state: _ShardState) -> list | None:
 
 
 def _commit_loop(state: _ShardState) -> None:
-    """Execute → flush once → acknowledge, forever (the main thread).
+    """Execute → flush once → acknowledge until drained.
+
+    The worker's main thread, or the in-process pool's commit thread.
 
     A single serial loop, on purpose.  A two-stage pipeline (executor
     thread + flusher thread) was tried and measured slower under fleet
@@ -424,6 +388,36 @@ def _commit_loop(state: _ShardState) -> None:
         state._batch_sizes.observe(len(batch))
 
 
+def open_shard(directory, options: dict | None = None) -> _ShardState:
+    """Build one shard over ``directory`` from its options.
+
+    ``options`` override :data:`SHARD_DEFAULTS` (see
+    :func:`shard_options`).  Returns the shard's state: a manager over ``directory``
+    (``None`` is memory-only) with its own metrics registry and a
+    group-commit WAL factory of the chosen codec, faulting when the
+    options carry a fault spec, whose plan rides along.  Worker
+    processes and the in-process pool are both built here.
+    """
+    options = shard_options(options)
+    registry = MetricsRegistry()
+    wal_options = {"codec": options["codec"],
+                   "max_batch": max(64, 2 * options["max_batch"])}
+    plan = None
+    if options["fault"]:
+        from repro.service.faults import FaultPlan, faulting_wal_factory
+
+        plan = FaultPlan.from_spec(options["fault"])
+        wal_factory = faulting_wal_factory(plan, **wal_options)
+    else:
+        def wal_factory(directory):
+            return GroupCommitWAL(directory, metrics=registry, **wal_options)
+
+    manager = SessionManager(
+        directory, capacity=options["capacity"], wal_factory=wal_factory,
+        metrics=registry)
+    return _ShardState(manager, options, plan)
+
+
 def shard_worker_main(bootstrap, shard_dir, options: dict | None = None):
     """Process entry point for one shard worker.
 
@@ -436,43 +430,17 @@ def shard_worker_main(bootstrap, shard_dir, options: dict | None = None):
     shard_dir:
         This shard's root directory (sessions journal beneath it).
     options:
-        Overrides over :data:`SHARD_DEFAULTS`; unknown keys rejected.
+        Overrides over :data:`SHARD_DEFAULTS` (see :func:`open_shard`).
     """
-    options = dict(SHARD_DEFAULTS, **(options or {}))
-    unknown = set(options) - set(SHARD_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown shard options {sorted(unknown)}")
-    if options["codec"] not in WAL_CODECS:
-        raise ValueError(f"unknown WAL codec {options['codec']!r}")
-
+    state = open_shard(shard_dir, options)
+    options, plan, manager = state.options, state.plan, state.manager
     configure_logging(options["log_format"], options["log_level"])
-    registry = MetricsRegistry()
-
-    plan = None
     wrap_socket = None
-    if options["fault"]:
-        from repro.service.faults import (
-            FaultingSocket, FaultPlan, faulting_wal_factory,
-        )
+    if plan is not None and str(plan.stage).startswith("sock:"):
+        from repro.service.faults import FaultingSocket
 
-        plan = FaultPlan.from_spec(options["fault"])
-        wal_factory = faulting_wal_factory(
-            plan, codec=options["codec"],
-            max_batch=max(64, 2 * options["max_batch"]))
-        if str(options["fault"].get("stage", "")).startswith("sock:"):
-            def wrap_socket(sock):  # noqa: E731 - tiny closure
-                return FaultingSocket(sock, plan)
-    else:
-        def wal_factory(directory):
-            return GroupCommitWAL(
-                directory, codec=options["codec"],
-                max_batch=max(64, 2 * options["max_batch"]),
-                metrics=registry)
-
-    manager = SessionManager(
-        shard_dir, capacity=options["capacity"], wal_factory=wal_factory,
-        metrics=registry)
-    state = _ShardState(manager, options, plan)
+        def wrap_socket(sock):  # noqa: E731 - tiny closure
+            return FaultingSocket(sock, plan)
 
     signal.signal(signal.SIGTERM, lambda *_: state.draining.set())
 

@@ -15,8 +15,8 @@ directory sync could otherwise drop the newest shard).
 Two shard shapes coexist in one journal:
 
 ``e<seq>-<kind>.<ext>``
-    One event per file — the synchronous write path
-    (:meth:`SessionWAL.append`): durable before the call returns.
+    A flush of one event — every append of a :class:`SessionWAL`,
+    durable before the call returns.
 ``b<first>-<last>.<ext>``
     A **group-commit batch**: a contiguous run of events flushed with a
     single data fsync + a single directory fsync
@@ -24,7 +24,12 @@ Two shard shapes coexist in one journal:
     cost from one fsync per event to one per flush window; the price is
     the group-commit contract — an event is durable only once its batch
     has flushed, so callers must not acknowledge it to a client before
-    :meth:`GroupCommitWAL.flush` returns.
+    :meth:`SessionWAL.flush` returns.
+
+Both are one write path: :meth:`SessionWAL.append` buffers, and flushes
+the buffer as one shard once :attr:`SessionWAL.max_batch` events wait —
+at once for a :class:`SessionWAL` (``max_batch = 1``), at the caller's
+flush or the self-flush bound for a :class:`GroupCommitWAL`.
 
 ``<ext>`` is ``json`` (human-readable, the default) or ``bin`` (the
 compact binary codec in :mod:`repro.service.codec`); a journal may mix
@@ -170,6 +175,10 @@ class SessionWAL:
     MANIFEST = "manifest.json"
     MANIFEST_DIGEST = "manifest.crc32c"
 
+    #: Events buffered before :meth:`append` flushes them as one shard;
+    #: 1 makes every append durable when it returns.
+    max_batch = 1
+
     def __init__(self, directory, *, codec: str = "json", metrics=None):
         if codec not in WAL_CODECS:
             raise ValueError(
@@ -197,6 +206,7 @@ class SessionWAL:
         #: writes — surfaced so operators can see recovery happened.
         self.recovered: list[dict] = []
         self._next_seq = self._scan_next_seq()
+        self._buffer: list[dict] = []
 
     @property
     def manifest_path(self) -> Path:
@@ -273,45 +283,44 @@ class SessionWAL:
     # -- write path --------------------------------------------------------
 
     def append(self, kind: str, payload: dict) -> int:
-        """Durably append one event; returns its sequence number.
+        """Journal one event; returns its sequence number.
 
-        Synchronous: one data fsync and one directory fsync per call.
-        The event is durable when this returns.  A failed write (disk
-        full, I/O error) rolls the sequence counter back so the journal
-        never develops a gap — a gap would silently truncate every
-        later event at replay.
+        The event is buffered, and the buffer flushes as one shard once
+        :attr:`max_batch` events wait, so a plain journal's append is
+        durable when it returns.  If that flush fails (disk full, I/O
+        error), the event is un-buffered and the sequence counter rolled
+        back: the caller's request did not happen, and the journal never
+        develops a gap (a gap would truncate every later event at
+        replay) or later flushes an event whose in-memory half never ran.
         """
-        record = self._make_record(kind, payload)
-        started = time.perf_counter()
-        try:
-            self._write_records([record])
-        except BaseException:
-            self._next_seq = record["seq"]
-            raise
-        self._append_seconds.observe(time.perf_counter() - started)
-        self._flush_events.observe(1)
-        return record["seq"]
-
-    def flush(self) -> int:
-        """Make every appended event durable; returns the last sequence.
-
-        A no-op here — :meth:`append` is synchronous — but part of the
-        WAL interface so callers can treat a :class:`GroupCommitWAL`
-        and a plain journal uniformly.
-        """
-        return self._next_seq - 1
-
-    @property
-    def pending_events(self) -> int:
-        """Appended-but-not-yet-durable events (always 0 here)."""
-        return 0
-
-    def _make_record(self, kind: str, payload: dict) -> dict:
         if kind not in _EVENT_KINDS:
             raise ValueError(f"unknown WAL event kind {kind!r}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        return {"seq": seq, "kind": kind, **payload}
+        self._buffer.append({"seq": seq, "kind": kind, **payload})
+        if len(self._buffer) >= self.max_batch:
+            try:
+                self.flush()
+            except BaseException:
+                self._buffer.pop()
+                self._next_seq = seq
+                raise
+        return seq
+
+    def flush(self) -> int:
+        """Write all buffered events as one shard; returns the last seq."""
+        if self._buffer:
+            started = time.perf_counter()
+            self._write_records(self._buffer)
+            self._append_seconds.observe(time.perf_counter() - started)
+            self._flush_events.observe(len(self._buffer))
+            self._buffer = []
+        return self._next_seq - 1
+
+    @property
+    def pending_events(self) -> int:
+        """Events appended but not yet durable."""
+        return len(self._buffer)
 
     def _write_records(self, records: list[dict]) -> None:
         """Write a contiguous run of records as one durable shard."""
@@ -499,14 +508,14 @@ class GroupCommitWAL(SessionWAL):
 
     The durability contract shifts accordingly: an event is durable
     only once the flush covering it has returned.  Callers that
-    acknowledge events to clients — the shard worker — must flush
+    acknowledge events to clients — the shard commit loop — must flush
     first and acknowledge after; events buffered at a crash are lost,
     which is exactly the "may lose only un-acked events" group-commit
     guarantee.
 
     Parameters
     ----------
-    directory, codec:
+    directory, codec, metrics:
         As for :class:`SessionWAL`.
     max_batch:
         Self-flush threshold in events (≥ 1).
@@ -518,38 +527,3 @@ class GroupCommitWAL(SessionWAL):
             raise ValueError(f"max_batch must be >= 1; got {max_batch}")
         super().__init__(directory, codec=codec, metrics=metrics)
         self.max_batch = int(max_batch)
-        self._buffer: list[dict] = []
-
-    def append(self, kind: str, payload: dict) -> int:
-        """Buffer one event; durable only after the next :meth:`flush`.
-
-        If the append triggers a self-flush and that flush fails, the
-        event is un-buffered and the sequence counter rolled back: the
-        caller's request did not happen, and the journal must not later
-        flush an event whose in-memory half never ran.
-        """
-        record = self._make_record(kind, payload)
-        self._buffer.append(record)
-        if len(self._buffer) >= self.max_batch:
-            try:
-                self.flush()
-            except BaseException:
-                self._buffer.pop()
-                self._next_seq = record["seq"]
-                raise
-        return record["seq"]
-
-    def flush(self) -> int:
-        """Write all buffered events as one batch shard; returns last seq."""
-        if self._buffer:
-            started = time.perf_counter()
-            self._write_records(self._buffer)
-            self._append_seconds.observe(time.perf_counter() - started)
-            self._flush_events.observe(len(self._buffer))
-            self._buffer = []
-        return self._next_seq - 1
-
-    @property
-    def pending_events(self) -> int:
-        """Events appended but not yet durable."""
-        return len(self._buffer)

@@ -202,13 +202,13 @@ class TestKillRestartSmoke:
     """The CI smoke scenario against a real server process."""
 
     @staticmethod
-    def start_server(root):
+    def start_server(root, *flags):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments", "serve",
-             "--port", "0", "--root", str(root)],
+             "--port", "0", "--root", str(root), *flags],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
         )
@@ -271,3 +271,24 @@ class TestKillRestartSmoke:
             sampler.sample_batch(batch)
         assert result["estimate"] == sampler.estimate
         assert result["labels_consumed"] == sampler.labels_consumed
+
+    def test_in_process_serve_journals_with_the_requested_codec(
+            self, tmp_path):
+        """``serve`` without ``--shards`` takes the shard options too."""
+        root = tmp_path / "service-root"
+        predictions, scores, labels = make_pool(6)
+        process, port = self.start_server(root, "--codec", "binary",
+                                          "--max-batch", "4")
+        try:
+            status, __payload = create_session(
+                port, predictions, scores, "binary", seed=3)
+            assert status == 200
+            drive_http(port, "binary", labels, [8, 8])
+        finally:
+            process.terminate()
+            process.wait(timeout=30)
+            process.stdout.close()
+        # Sessions keep the in-process layout: <root>/<sid>/, no topology.
+        assert not (root / "topology.json").exists()
+        shards = sorted(p.name for p in (root / "binary" / "events").iterdir())
+        assert shards and all(name.endswith(".bin") for name in shards), shards

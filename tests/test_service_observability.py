@@ -70,11 +70,8 @@ REQUIRED_FAMILIES = {
     "oasis_worker_restarts",
 }
 
-#: Subset an in-process (non-sharded) server must still expose.
-REQUIRED_IN_PROCESS = REQUIRED_FAMILIES - {
-    "oasis_request_seconds", "oasis_commit_batch_size",
-    "oasis_queue_depth", "oasis_overloads_total", "oasis_worker_restarts",
-}
+#: The in-process server runs as shard 0 of a one-shard pool.
+SHARD0 = (("shard", "0"),)
 
 
 def raw_request(port, method, path, body=None, headers=None):
@@ -158,7 +155,7 @@ class TestMetricsEndpointInProcess:
         parsed, text, headers = scrape(port)
         assert headers["Content-Type"].startswith("text/plain")
         assert "version=0.0.4" in headers["Content-Type"]
-        missing = REQUIRED_IN_PROCESS - set(parsed)
+        missing = REQUIRED_FAMILIES - set(parsed)
         assert not missing, f"families absent from /metrics: {missing}"
         assert len(parsed) >= 12
         assert_histograms_consistent(parsed)
@@ -171,7 +168,7 @@ class TestMetricsEndpointInProcess:
         assert 0 < labelled <= 40.0
         assert counter_total(parsed, "oasis_sessions_created_total") == 1.0
         fsync = parsed["oasis_wal_fsync_seconds"]["samples"]
-        assert fsync[("oasis_wal_fsync_seconds_count", ())] > 0
+        assert fsync[("oasis_wal_fsync_seconds_count", SHARD0)] > 0
 
     def test_per_session_telemetry_gauges(self, local_service):
         manager, port = local_service
@@ -179,15 +176,14 @@ class TestMetricsEndpointInProcess:
         drive(port, "tele", labels, rounds=5, batch=10,
               predictions=predictions, scores=scores)
         parsed, _, _ = scrape(port)
+        tele = (("session", "tele"),) + SHARD0
         estimate = parsed["oasis_session_estimate"]["samples"]
-        assert ("oasis_session_estimate",
-                (("session", "tele"),)) in estimate
+        assert ("oasis_session_estimate", tele) in estimate
         ci = parsed["oasis_session_ci_width"]["samples"]
-        key = ("oasis_session_ci_width", (("session", "tele"),))
+        key = ("oasis_session_ci_width", tele)
         assert key in ci and ci[key] > 0.0
         consumed = parsed["oasis_session_labels_consumed"]["samples"]
-        assert consumed[("oasis_session_labels_consumed",
-                         (("session", "tele"),))] > 0
+        assert consumed[("oasis_session_labels_consumed", tele)] > 0
 
 
 class TestRequestTracing:
