@@ -9,7 +9,7 @@ numbers compare like with like on whatever machine runs the suite:
   session running memory-only — and stays bit-identical to the raw
   sampler loop.  (The raw loop and the PR-4 per-event fsync journal
   are measured alongside for the report.)  The ceiling leaves room
-  for the CRC32C frame on every shard and the journalled idempotency
+  for the checksum frame on every shard and the journalled idempotency
   keys — measured ~1.35-1.4x on a quiet machine vs ~1.2-1.35x for
   the unchecksummed WAL — while still catching the failure mode it
   exists for: falling back to per-event fsyncs is a 4-5x.

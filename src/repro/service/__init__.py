@@ -46,11 +46,11 @@ Layers, bottom up:
   named durability stages, injected ENOSPC, dropped acks, corruption
   injectors) backing the fault and chaos tests.
 
-Integrity: every WAL shard is a CRC32C-checksummed frame and every
-manifest carries a digest sidecar, so restore distinguishes a torn
-tail (recoverable — only unacknowledged events drop) from real
-corruption (:class:`~repro.utils.CorruptStateError`, naming file and
-offset).
+Integrity: every WAL shard is a checksummed frame (``zlib.crc32``;
+legacy CRC32C frames still verify) and every manifest carries a
+digest sidecar, so restore distinguishes a torn tail (recoverable —
+only unacknowledged events drop) from real corruption
+(:class:`~repro.utils.CorruptStateError`, naming file and offset).
 """
 
 from repro.service.client import EvaluationClient, ServiceRequestError

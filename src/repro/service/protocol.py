@@ -19,16 +19,17 @@ POST      ``/sessions/{id}/propose``      propose     ``{batch_size, key?}`` →
 POST      ``/sessions/{id}/ingest``       ingest      ``{ticket, labels, key?}``
 GET       ``/sessions/{id}/estimate``     estimate    current estimate + intervals
 GET       ``/sessions/{id}/history``      history     estimate/CI trajectory
-POST      ``/sessions/{id}/checkpoint``   checkpoint  journal a full snapshot
+POST      ``/sessions/{id}/checkpoint``   checkpoint  journal state + new trajectory rows
 ========  ==============================  ==========  ===================================
 
-A known path with another method is 400, any other path 404.  Bodies
-are JSON objects; ``key`` is an optional idempotency key (a retry
-replays the original response).  The create body is ``{"predictions",
-"scores", "sampler"?, "sampler_kwargs"?, "measure"?, "alpha"?, "seed"?,
-"session_id"?}``: ``measure`` is a kind name or spec dict such as
-``{"kind": "fmeasure", "alpha": 0.25}``, sending both it and ``alpha``
-is 400, and the router assigns ``session_id`` when absent.
+A known path with another method is 400, any other path 404; a query
+string is ignored.  Bodies are JSON objects; ``key`` is an optional
+idempotency key (a retry replays the original response).  The create
+body is ``{"predictions", "scores", "sampler"?, "sampler_kwargs"?,
+"measure"?, "alpha"?, "seed"?, "session_id"?}``: ``measure`` is a kind
+name or spec dict such as ``{"kind": "fmeasure", "alpha": 0.25}``,
+sending both it and ``alpha`` is 400, and the router assigns
+``session_id`` when absent.
 
 ========================================  ======  ===========  ========================
 Raised                                    Status  Retry-After  Meaning
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import json
 import re
+from urllib.parse import urlsplit
 
 from repro.service.errors import (
     VOLUME_FULL_ERRNOS,
@@ -102,9 +104,11 @@ _SESSION_PATH = re.compile(
 def route(method: str, path: str) -> tuple[str, str | None]:
     """The ``(op, session id)`` a request names.
 
+    ``path`` is the raw request target; its query string is ignored.
     Raises ``ValueError`` (400) for a known path with the wrong method
     and ``KeyError`` (404) for any other path.
     """
+    path = urlsplit(path).path
     match = _SESSION_PATH.match(path)
     if match:
         sid, template = match["sid"], "/sessions/{id}" + match["action"]

@@ -35,6 +35,14 @@ flush or the self-flush bound for a :class:`GroupCommitWAL`.
 compact binary codec in :mod:`repro.service.codec`); a journal may mix
 both and replays them identically.
 
+Every shard is a checksummed ``WFC2`` frame and every manifest has a
+``manifest.crc32`` digest sidecar, both the stdlib ``zlib.crc32``,
+which detects every 1- and 2-bit error and every burst of up to 32
+bits in up to 512 MiB.  Journals written before it carry ``WFC1``
+frames and ``manifest.crc32c`` sidecars (CRC32C); they still verify,
+through the legacy verifier :func:`repro.utils.crc32c`, and a journal
+may mix both frame versions.
+
 Event kinds (see :class:`repro.service.session.EvaluationSession`):
 
 ``propose``
@@ -57,6 +65,7 @@ import re
 import struct
 import time
 import uuid
+import zlib
 from pathlib import Path
 
 from repro.service.codec import (
@@ -87,17 +96,27 @@ WAL_CODECS = ("json", "binary")
 _EXTENSIONS = {"json": "json", "binary": "bin"}
 
 # Every shard written since the integrity layer landed is a checksummed
-# frame: magic, payload length, CRC32C of the payload, payload.  The
-# frame is what turns "a file exists with this name" into "this file
-# holds exactly the bytes the writer fsynced": restore can distinguish
-# a truncated tail (recoverable — the write never completed, so its
-# events were never acknowledged) from mid-log damage (not recoverable
-# without losing acknowledged events — a hard CorruptStateError).
-# Shards without the magic are pre-frame journals (committed fixtures,
-# live deployments from before the format change) and load unchecked.
-_FRAME_MAGIC = b"WFC1"
-_FRAME_HEADER = struct.Struct(">II")  # payload length, CRC32C(payload)
+# frame: 4-byte magic, payload length, checksum of the payload (both
+# big-endian u32), payload.  The frame is what turns "a file exists with
+# this name" into "this file holds exactly the bytes the writer
+# fsynced": restore can distinguish a truncated tail (recoverable — the
+# write never completed, so its events were never acknowledged) from
+# mid-log damage (not recoverable without losing acknowledged events —
+# a hard CorruptStateError).  Shards without a magic are pre-frame
+# journals (committed fixtures, live deployments from before the frame
+# format) and load unchecked.
+#
+# The magic names the checksum, as a manifest sidecar's file name does,
+# so this one table reads both frame versions; writes use WFC2.
+_FRAME_VERSIONS = {
+    # magic: (manifest digest sidecar, checksum)
+    b"WFC2": ("manifest.crc32", zlib.crc32),
+    b"WFC1": ("manifest.crc32c", crc32c),
+}
+_FRAME_MAGIC = b"WFC2"  # the version every write uses
+_FRAME_HEADER = struct.Struct(">II")  # payload length, checksum(payload)
 _FRAME_PREFIX = len(_FRAME_MAGIC) + _FRAME_HEADER.size
+_SIDECAR, _CHECKSUM = _FRAME_VERSIONS[_FRAME_MAGIC]
 
 
 class _TornShard(Exception):
@@ -111,20 +130,23 @@ class _TornShard(Exception):
 def frame_payload(payload: bytes) -> bytes:
     """Wrap serialised shard bytes in a checksummed frame."""
     return (_FRAME_MAGIC
-            + _FRAME_HEADER.pack(len(payload), crc32c(payload))
+            + _FRAME_HEADER.pack(len(payload), _CHECKSUM(payload))
             + payload)
 
 
 def unframe_payload(data: bytes, path) -> bytes:
     """Verify and strip a shard frame; pass pre-frame shards through.
 
-    Raises :class:`_TornShard` when the file stops before the frame
-    does (a torn write — only ever legitimate at the log's tail) and
+    The frame's magic picks the checksum to verify it with.  Raises
+    :class:`_TornShard` when the file stops before the frame does (a
+    torn write — only ever legitimate at the log's tail) and
     :class:`~repro.utils.CorruptStateError` when the bytes are all
     there but wrong (bit rot, trailing garbage).
     """
-    if data[:4] != _FRAME_MAGIC:
-        if len(data) < 4 and _FRAME_MAGIC[:len(data)] == data:
+    magic = data[:4]
+    if magic not in _FRAME_VERSIONS:
+        if len(data) < 4 and any(
+                known.startswith(data) for known in _FRAME_VERSIONS):
             raise _TornShard(
                 f"shard {path} holds only {len(data)} bytes of frame "
                 "magic", offset=len(data))
@@ -145,12 +167,12 @@ def unframe_payload(data: bytes, path) -> bytes:
             f"trailing garbage after its frame (offset {expected})",
             path=path, offset=expected)
     payload = data[_FRAME_PREFIX:]
-    actual = crc32c(payload)
+    actual = _FRAME_VERSIONS[magic][1](payload)
     if actual != checksum:
         raise CorruptStateError(
-            f"WAL shard {path} failed its CRC32C check at offset "
-            f"{_FRAME_PREFIX} (recorded {checksum:#010x}, computed "
-            f"{actual:#010x})", path=path, offset=_FRAME_PREFIX)
+            f"WAL shard {path} failed its {magic.decode()} checksum at "
+            f"offset {_FRAME_PREFIX} (recorded {checksum:#010x}, "
+            f"computed {actual:#010x})", path=path, offset=_FRAME_PREFIX)
     return payload
 
 
@@ -173,7 +195,8 @@ class SessionWAL:
     """
 
     MANIFEST = "manifest.json"
-    MANIFEST_DIGEST = "manifest.crc32c"
+    #: The digest sidecar new sessions write next to the manifest.
+    MANIFEST_DIGEST = _SIDECAR
 
     #: Events buffered before :meth:`append` flushes them as one shard;
     #: 1 makes every append durable when it returns.
@@ -212,29 +235,35 @@ class SessionWAL:
     def manifest_path(self) -> Path:
         return self.directory / self.MANIFEST
 
-    @property
-    def manifest_digest_path(self) -> Path:
-        return self.directory / self.MANIFEST_DIGEST
+    def _manifest_digest(self) -> tuple[Path, object] | None:
+        """The session's digest sidecar and its checksum, if it has one."""
+        for sidecar, checksum in _FRAME_VERSIONS.values():
+            path = self.directory / sidecar
+            if path.is_file():
+                return path, checksum
+        return None
 
     def read_manifest(self) -> dict | None:
         """The session's identity payload, or None before creation.
 
-        When a ``manifest.crc32c`` sidecar exists (every session created
-        since the integrity layer), the manifest bytes are verified
-        against it; a mismatch or unparsable manifest raises
-        :class:`~repro.utils.CorruptStateError`.  Sessions without the
-        sidecar (pre-frame journals) load unchecked.
+        When a digest sidecar exists (``manifest.crc32``, or the legacy
+        ``manifest.crc32c`` of sessions created before it), the manifest
+        bytes are verified against it; a mismatch or unparsable manifest
+        raises :class:`~repro.utils.CorruptStateError`.  Sessions
+        without a sidecar (pre-frame journals) load unchecked.
         """
         if not self.manifest_path.is_file():
             return None
         raw = self.manifest_path.read_bytes()
-        if self.manifest_digest_path.is_file():
-            recorded = self.manifest_digest_path.read_text().strip()
-            actual = f"{crc32c(raw):08x}"
+        digest = self._manifest_digest()
+        if digest is not None:
+            path, checksum = digest
+            recorded = path.read_text().strip()
+            actual = f"{checksum(raw):08x}"
             if recorded != actual:
                 raise CorruptStateError(
                     f"session manifest {self.manifest_path} failed its "
-                    f"CRC32C check (recorded {recorded}, computed "
+                    f"{path.name} check (recorded {recorded}, computed "
                     f"{actual})", path=self.manifest_path, offset=0)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -252,9 +281,11 @@ class SessionWAL:
         name-and-all: the session directory is fsynced after the
         rename, and the *parent* (service root) after that, so an
         acknowledged create survives a crash on any filesystem.  A
-        ``manifest.crc32c`` sidecar records the manifest's checksum;
+        :attr:`MANIFEST_DIGEST` sidecar records the manifest's checksum;
         it is written *after* the manifest, so a crash between the two
-        leaves a valid (merely unverifiable) session behind.
+        leaves a valid (merely unverifiable) session behind, and a
+        re-create adds one only where no sidecar (legacy included)
+        exists, so a session keeps exactly one.
         """
         existing = self.read_manifest()
         if existing is not None:
@@ -263,7 +294,7 @@ class SessionWAL:
                     f"session directory {self.directory} already holds a "
                     "different session; choose a fresh directory"
                 )
-            if not self.manifest_digest_path.is_file():
+            if self._manifest_digest() is None:
                 self._write_manifest_digest()
             return
         atomic_write_text(
@@ -275,8 +306,8 @@ class SessionWAL:
 
     def _write_manifest_digest(self) -> None:
         atomic_write_text(
-            self.manifest_digest_path,
-            f"{crc32c(self.manifest_path.read_bytes()):08x}\n",
+            self.directory / self.MANIFEST_DIGEST,
+            f"{_CHECKSUM(self.manifest_path.read_bytes()):08x}\n",
             fsync_dir=True,
         )
 

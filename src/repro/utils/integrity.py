@@ -1,191 +1,57 @@
-"""Checksums for persisted state: CRC32C frames and whole-file digests.
+"""Checksums for persisted state: the legacy CRC32C and file digests.
 
 Every byte the service tier persists — WAL event shards, snapshot
 manifests, chunked-store columns — is written through the atomic
 tmp-fsync-rename idiom, which protects against *torn writes* but says
 nothing about what the disk hands back later: bit rot, a filesystem
 truncating a file during recovery, an operator-level `dd` accident.
-This module supplies the two integrity primitives the storage layers
-share:
+The WAL frames every shard and digests every session manifest with
+the stdlib's ``zlib.crc32`` (see :mod:`repro.service.wal`); this
+module holds the two primitives that are not in the stdlib:
 
-* :func:`crc32c` — the Castagnoli CRC (the polynomial used by ext4
-  metadata, btrfs, iSCSI and most storage systems; it detects all
-  1–2-bit errors and all burst errors up to 32 bits).  The WAL wraps
-  every shard payload in a CRC32C frame so restore can tell a valid
-  record from a damaged one, and a *truncated* record from a
-  *bit-flipped* one — the distinction that decides between torn-tail
-  recovery and a hard :class:`~repro.utils.io.CorruptStateError`.
+* :func:`crc32c` — the Castagnoli CRC that the first frame format
+  (``WFC1`` shards, ``manifest.crc32c`` sidecars) recorded.  Nothing
+  writes it any more; it is kept only to verify journals written
+  before the switch, so it is a plain table-driven byte loop (a few
+  MiB/s, ample for a one-off restore of legacy data).
 * :func:`file_digest` — a whole-file SHA-256, recorded in chunk-store
   manifests next to each chunk name and verified on load.  SHA-256
-  rather than a CRC here because chunk files are megabytes (hashlib
-  runs at C speed; a pure-Python CRC would not) and the manifest is
-  the natural place for a collision-resistant content address.
-
-The CRC implementation needs no native wheel: tiny inputs take a
-slice-by-8 table loop (microseconds per frame), and anything from a
-kilobyte up switches to a NumPy path that exploits the GF(2)
-linearity of the CRC — every byte's contribution to the final
-remainder depends only on its value and its distance from the end of
-its block, so a whole block folds into one table gather plus an
-XOR-reduction, and blocks chain through a precomputed shift-by-block
-operator.  That keeps checkpoint-sized payloads at memory-bandwidth
-order rather than interpreter speed, which matters because the WAL
-checksums every event on the commit path.  An installed native
-``crc32c`` module is still used transparently when available.
+  rather than a CRC here because the manifest is the natural place for
+  a collision-resistant content address, and hashlib streams megabyte
+  chunks at C speed.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 __all__ = ["crc32c", "file_digest"]
 
 _POLY = 0x82F63B78  # Castagnoli, reflected
 
 
-def _make_tables() -> list[list[int]]:
-    tables = [[0] * 256 for _ in range(8)]
-    table0 = tables[0]
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ (_POLY if crc & 1 else 0)
-        table0[byte] = crc
-    for byte in range(256):
-        crc = table0[byte]
-        for slice_ in range(1, 8):
-            crc = (crc >> 8) ^ table0[crc & 0xFF]
-            tables[slice_][byte] = crc
-    return tables
+def _table_entry(byte: int) -> int:
+    for _ in range(8):
+        byte = (byte >> 1) ^ (_POLY if byte & 1 else 0)
+    return byte
 
 
-_TABLES = _make_tables()
-
-try:  # pragma: no cover - exercised only where the wheel is installed
-    from crc32c import crc32c as _native_crc32c  # type: ignore
-except ImportError:
-    _native_crc32c = None
-
-# ---------------------------------------------------------------------------
-# Vectorised path.  The raw CRC recurrence
-#     state' = (state >> 8) ^ T0[(state ^ byte) & 0xFF]
-# is affine over GF(2): T0 is a linear table (T0[a ^ b] == T0[a] ^ T0[b]),
-# so after a block of B bytes
-#     state_after = shift_B(state_before) ^ XOR_i K(B - 1 - i, byte_i)
-# where shift_B is the (linear) effect of B zero bytes on the state and
-# K(p, b) is the contribution of byte value b sitting p bytes before the
-# block's end.  Both are precomputed: K as a (B, 256) gather table indexed
-# by position-within-block, shift_B as four 256-entry byte tables.  A block
-# then costs one fancy-index gather plus an XOR-reduction — NumPy speed —
-# and blocks chain with eight scalar lookups each.
-
-_BLOCK = 1024  # bytes per vectorised block; K table = _BLOCK x 256 x 4 B
-
-
-def _shift_zero_byte(state: int) -> int:
-    """Advance the raw CRC state over one zero byte."""
-    return (state >> 8) ^ _TABLES[0][state & 0xFF]
-
-
-def _make_vector_tables():
-    table0 = _TABLES[0]
-    # K[i][b]: contribution of byte value b at block offset i (distance
-    # _BLOCK-1-i from the block end).  Built back to front: offset
-    # _BLOCK-1 is T0 itself, each earlier offset is one zero-shift more.
-    gather = np.empty((_BLOCK, 256), dtype=np.uint32)
-    row = np.array(table0, dtype=np.uint32)
-    gather[_BLOCK - 1] = row
-    for offset in range(_BLOCK - 2, -1, -1):
-        row = (row >> np.uint32(8)) ^ np.array(table0, dtype=np.uint32)[
-            row & np.uint32(0xFF)]
-        gather[offset] = row
-    # shift_B decomposed into per-byte tables: SH[j][v] is the state v<<8j
-    # advanced over _BLOCK zero bytes.
-    shift = [[0] * 256 for _ in range(4)]
-    for j in range(4):
-        for v in range(256):
-            state = v << (8 * j)
-            for _ in range(_BLOCK):
-                state = _shift_zero_byte(state)
-            shift[j][v] = state
-    return gather, shift
-
-
-_VECTOR_TABLES = None  # built lazily: ~1 MiB + a few ms, first large input
-
-
-def _crc_serial(crc: int, view, start: int, length: int) -> int:
-    """Slice-by-8 over ``view[start:start + length]`` (raw state in/out)."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _TABLES
-    end8 = start + (length - (length % 8))
-    end = start + length
-    pos = start
-    while pos < end8:
-        crc ^= view[pos] | (view[pos + 1] << 8) | (view[pos + 2] << 16) | (
-            view[pos + 3] << 24)
-        crc = (
-            t7[crc & 0xFF]
-            ^ t6[(crc >> 8) & 0xFF]
-            ^ t5[(crc >> 16) & 0xFF]
-            ^ t4[(crc >> 24) & 0xFF]
-            ^ t3[view[pos + 4]]
-            ^ t2[view[pos + 5]]
-            ^ t1[view[pos + 6]]
-            ^ t0[view[pos + 7]]
-        )
-        pos += 8
-    for index in range(end8, end):
-        crc = (crc >> 8) ^ t0[(crc ^ view[index]) & 0xFF]
-    return crc
-
-
-_ARANGE_BLOCK = None
-
-
-def _crc_vector(crc: int, data) -> int:
-    """Raw-state CRC over ``data`` using the block-gather tables."""
-    global _VECTOR_TABLES, _ARANGE_BLOCK
-    if _VECTOR_TABLES is None:
-        _VECTOR_TABLES = _make_vector_tables()
-        _ARANGE_BLOCK = np.arange(_BLOCK)
-    gather, shift = _VECTOR_TABLES
-    sh0, sh1, sh2, sh3 = shift
-    length = len(data)
-    blocks = length // _BLOCK
-    body = np.frombuffer(data, dtype=np.uint8, count=blocks * _BLOCK)
-    body = body.reshape(blocks, _BLOCK)
-    per_block = np.bitwise_xor.reduce(
-        gather[_ARANGE_BLOCK[None, :], body], axis=1)
-    for contribution in per_block.tolist():
-        crc = (
-            sh0[crc & 0xFF]
-            ^ sh1[(crc >> 8) & 0xFF]
-            ^ sh2[(crc >> 16) & 0xFF]
-            ^ sh3[crc >> 24]
-        ) ^ contribution
-    tail = length - blocks * _BLOCK
-    if tail:
-        crc = _crc_serial(crc, memoryview(data), blocks * _BLOCK, tail)
-    return crc
+_TABLE = [_table_entry(byte) for byte in range(256)]
 
 
 def crc32c(data: bytes, value: int = 0) -> int:
     """CRC-32C (Castagnoli) of ``data``, seeded with ``value``.
 
-    ``crc32c(b, crc32c(a))`` equals ``crc32c(a + b)``, the usual
-    streaming composition.  The check value for ``b"123456789"`` is
-    ``0xE3069283``.
+    The legacy verifier: it checks ``WFC1`` WAL frames and
+    ``manifest.crc32c`` sidecars written before frames moved to
+    ``zlib.crc32``; no write path calls it.  ``crc32c(b, crc32c(a))``
+    equals ``crc32c(a + b)``, the usual streaming composition.  The
+    check value for ``b"123456789"`` is ``0xE3069283``.
     """
-    if _native_crc32c is not None:  # pragma: no cover
-        return _native_crc32c(data, value)
-    crc = (~value) & 0xFFFFFFFF
-    if len(data) >= _BLOCK:
-        crc = _crc_vector(crc, data)
-    else:
-        crc = _crc_serial(crc, memoryview(data), 0, len(data))
-    return (~crc) & 0xFFFFFFFF
+    crc = ~value & 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
+    return ~crc & 0xFFFFFFFF
 
 
 def file_digest(path) -> str:

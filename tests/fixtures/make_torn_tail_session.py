@@ -1,28 +1,33 @@
-"""Regenerate the committed torn-tail recovery fixture.
+"""Generate a torn-tail recovery fixture in the current frame format.
 
-Produces ``tests/fixtures/torn_tail_session/``: two session journals —
-one per WAL codec — each ending in a **torn final frame**: the last
-event shard holds only a prefix of the bytes its frame header
+Writes, into the directory given as its one argument, two session
+journals — one per WAL codec — each ending in a **torn final frame**:
+the last event shard holds only a prefix of the bytes its frame header
 declares, exactly the footprint of a crash (or power loss on a
 non-atomic store) mid-append.  A ``fixture.json`` sidecar records the
 pool, the drive schedule and the state restore must land on *after*
 discarding the torn tail.
 
-The committed directory is the compatibility contract for torn-tail
-recovery itself: ``tests/test_service_torn_fixture.py`` restores both
-sessions with current code and must (a) classify the damage as a
-recoverable tail, not corruption, (b) land bit-identically on the
-recorded pre-tear trajectory, and (c) keep journalling cleanly from
-the recovered sequence number.  Regenerate only when the frame format
-version changes — that is a migration event, not a refresh.
+Each frame version has its own committed fixture, and each is the
+compatibility contract for torn-tail recovery of that version:
+``tests/test_service_torn_fixture.py`` restores every session with
+current code and must (a) classify the damage as a recoverable tail,
+not corruption, (b) land bit-identically on the recorded pre-tear
+trajectory, and (c) keep journalling cleanly from the recovered
+sequence number.  ``torn_tail_session/`` holds ``WFC1`` frames, written
+by this script before ``WFC2`` existed; ``torn_tail_session_wfc2/``
+holds ``WFC2`` frames.  A committed fixture is never regenerated: a new
+frame version gets a new sibling directory.
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/fixtures/make_torn_tail_session.py
+    PYTHONPATH=src python tests/fixtures/make_torn_tail_session.py \\
+        tests/fixtures/torn_tail_session_wfc2
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 import sys
@@ -51,7 +56,10 @@ def make_pool(seed=29, n=80):
 
 
 def main() -> None:
-    root = HERE / "torn_tail_session"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("output", type=Path,
+                        help="directory to (re)create the fixture in")
+    root = parser.parse_args().output
     if root.exists():
         shutil.rmtree(root)
     root.mkdir(parents=True)

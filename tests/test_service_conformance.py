@@ -7,8 +7,8 @@ tell the two apart except by throughput, so this suite drives the same
 script against each tier and asserts, request by request, the same
 status, the same JSON body (pids normalised) and the same presence of
 ``Retry-After``.  The script covers every route, a wrong method on each
-route, unknown paths, malformed bodies, missing fields, unknown
-sessions, protocol conflicts, a caller deadline, and an injected
+route, unknown paths, query strings, malformed bodies, missing fields,
+unknown sessions, protocol conflicts, a caller deadline, and an injected
 ENOSPC that must turn the shard read-only: 503 + ``Retry-After`` for
 every mutating request, 200 for reads, ``healthz`` degraded.
 
@@ -160,9 +160,11 @@ SCRIPT = [
      lambda done: {"ticket": 2, "labels": labels_for(done, "propose_keyed"),
                    "key": "k2"}),
     ("estimate", "GET", "/sessions/c1/estimate", None),
+    ("estimate_query", "GET", "/sessions/c1/estimate?v=1", None),
     ("history", "GET", "/sessions/c1/history", None),
     ("checkpoint", "POST", "/sessions/c1/checkpoint", None),
     ("list", "GET", "/sessions", None),
+    ("list_query", "GET", "/sessions?x=1", None),
     ("metrics", "GET", "/metrics", None),
     ("unknown_session_status", "GET", "/sessions/ghost", None),
     ("unknown_session_propose", "POST", "/sessions/ghost/propose",
@@ -298,8 +300,9 @@ def test_expected_statuses(transcripts):
     got = transcripts["sharded"]
     for step in ("healthz", "create", "status", "propose", "ingest",
                  "propose_keyed", "propose_keyed_retry", "ingest_keyed",
-                 "estimate", "history", "checkpoint", "list", "metrics",
-                 "close", "status_after_close", "healthz_after"):
+                 "estimate", "estimate_query", "history", "checkpoint",
+                 "list", "list_query", "metrics", "close",
+                 "status_after_close", "healthz_after"):
         assert got[step][0] == 200, (step, got[step])
     for step in ("create_duplicate", "create_bad_id", "create_missing_fields",
                  "create_invalid_json", "create_not_object",
@@ -317,6 +320,9 @@ def test_expected_statuses(transcripts):
                  "ingest_replayed_ticket"):
         assert got[step][0] == 409, (step, got[step])
     assert got["deadline_exceeded"][:1] == (504,)
+    # A query string does not change the route.
+    assert got["list_query"] == got["list"]
+    assert got["estimate_query"] == got["estimate"]
     assert got["propose_keyed_retry"][1] == got["propose_keyed"][1]
     assert all(entry["shard"] == 0 for entry in got["list"][1]["sessions"])
     assert got["healthz_after"][1]["status"] == "ok"

@@ -1,18 +1,20 @@
-"""Integrity layer: CRC32C frames, torn-tail recovery, exactly-once keys.
+"""Integrity layer: checksummed frames, torn-tail recovery, exactly-once keys.
 
 The claims under test, in order of appearance:
 
-* the pure-Python CRC32C matches the published check vectors;
+* the legacy CRC32C verifier matches the published check vectors;
 * every WAL shard is a checksummed frame, and restore distinguishes a
   **torn tail** (recoverable — the interrupted write was never
   acknowledged, so dropping it breaks no promise) from **mid-log
   damage** (a hard :class:`~repro.utils.CorruptStateError` naming file
   and offset — silently serving a shortened history would be worse
-  than failing);
+  than failing) — for ``WFC2`` frames (``zlib.crc32``, what the WAL
+  writes) and legacy ``WFC1`` frames (CRC32C) alike, and for a journal
+  that mixes the two;
 * pre-frame journals (the committed fixtures, live deployments from
   before the format change) still restore;
-* session manifests carry a digest sidecar and fail loudly when the
-  bytes rot;
+* session manifests carry a digest sidecar (either version) and fail
+  loudly when the bytes rot;
 * idempotency keys make propose/ingest retries exact-once, across
   replay, checkpoints and eviction;
 * a full journal volume surfaces as the retryable
@@ -27,6 +29,8 @@ from __future__ import annotations
 import errno
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -54,39 +58,25 @@ def test_crc32c_streaming_composition():
     assert crc32c(data) == crc32c(data[300:], crc32c(data[:300]))
 
 
-def test_crc32c_vector_path_matches_serial():
-    # Inputs of a kilobyte and up take the NumPy block-gather path;
-    # pin it to the byte-at-a-time loop across the threshold, block
-    # boundaries, ragged tails and non-zero seeds.
-    from repro.utils.integrity import _BLOCK, _crc_serial
-
-    def serial(data, value=0):
-        crc = _crc_serial((~value) & 0xFFFFFFFF, memoryview(data), 0,
-                          len(data))
-        return (~crc) & 0xFFFFFFFF
-
-    for length in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK,
-                   3 * _BLOCK + 17, 8 * _BLOCK + 1023):
-        data = os.urandom(length)
-        assert crc32c(data) == serial(data), length
-        seed = crc32c(data[:97])
-        assert crc32c(data, seed) == serial(data, seed), length
-        cut = length // 2
-        assert crc32c(data[cut:], crc32c(data[:cut])) == crc32c(data), length
-
-
 # -- WAL frame verification ------------------------------------------------
 
-def make_session(directory, *, codec="json", rounds=3, seed=9,
-                 wal_factory=None):
+#: The frame versions every frame-damage test runs on: ``WFC2``, what
+#: the WAL writes, and the legacy ``WFC1``, which :func:`to_wfc1` builds
+#: from a fresh journal.  The tests loop over them rather than
+#: parametrize, so each keeps the id it had before ``WFC2`` existed.
+FRAMES = ("WFC2", "WFC1")
+LEGACY_DIGEST = "manifest.crc32c"
+
+
+def journal_pool():
     rng = np.random.default_rng(2)
     labels = (rng.random(60) < 0.4).astype(int)
     scores = rng.normal(size=60) + labels
-    predictions = (scores > 0.4).astype(int)
-    factory = wal_factory or (lambda d: SessionWAL(d, codec=codec))
-    session = EvaluationSession.create(
-        predictions.tolist(), scores.tolist(), sampler="oasis", seed=seed,
-        directory=directory, wal_factory=factory)
+    return (scores > 0.4).astype(int), scores, labels
+
+
+def drive(session, rounds):
+    _, _, labels = journal_pool()
     for _ in range(rounds):
         proposal = session.propose(5)
         session.ingest(proposal["ticket"],
@@ -94,85 +84,153 @@ def make_session(directory, *, codec="json", rounds=3, seed=9,
     return session
 
 
+def make_session(directory, *, codec="json", rounds=3, seed=9,
+                 wal_factory=None, frame="WFC2"):
+    """A driven session, its journal flushed and written in ``frame``."""
+    predictions, scores, _ = journal_pool()
+    factory = wal_factory or (lambda d: SessionWAL(d, codec=codec))
+    session = EvaluationSession.create(
+        predictions.tolist(), scores.tolist(), sampler="oasis", seed=seed,
+        directory=directory, session_id="s", wal_factory=factory)
+    drive(session, rounds).wal.flush()
+    if frame == "WFC1":
+        to_wfc1(directory)
+    return session
+
+
+def to_wfc1(directory):
+    """Rewrite a journal the way code before ``WFC2`` wrote it: every
+    shard re-framed under ``WFC1`` with CRC32C, and the manifest digest
+    in a ``manifest.crc32c`` sidecar."""
+    for path in shard_files(directory):
+        data = path.read_bytes()
+        assert data[:4] == b"WFC2"
+        payload = data[12:]
+        path.write_bytes(b"WFC1" + struct.pack(
+            ">II", len(payload), crc32c(payload)) + payload)
+    (directory / SessionWAL.MANIFEST_DIGEST).unlink()
+    manifest = (directory / SessionWAL.MANIFEST).read_bytes()
+    (directory / LEGACY_DIGEST).write_text(f"{crc32c(manifest):08x}\n")
+
+
 def shard_files(directory):
     return sorted((directory / "events").iterdir())
 
 
+def digest_files(directory):
+    return sorted(path.name for path in directory.glob("manifest.crc*"))
+
+
+def test_new_shards_and_sidecars_use_zlib_crc32(tmp_path):
+    directory = tmp_path / "s"
+    make_session(directory, rounds=1)
+    for path in shard_files(directory):
+        data = path.read_bytes()
+        assert data[:4] == b"WFC2"
+        assert struct.unpack_from(">II", data, 4) == (
+            len(data) - 12, zlib.crc32(data[12:]))
+    manifest = (directory / SessionWAL.MANIFEST).read_bytes()
+    assert digest_files(directory) == ["manifest.crc32"]
+    assert (directory / "manifest.crc32").read_text() == \
+        f"{zlib.crc32(manifest):08x}\n"
+
+
 @pytest.mark.parametrize("codec", ["json", "binary"])
 def test_torn_tail_is_recovered_and_only_the_tail_drops(tmp_path, codec):
-    directory = tmp_path / "s"
-    session = make_session(directory, codec=codec)
-    intact = session.status()
+    for frame in FRAMES:
+        directory = tmp_path / frame
+        session = make_session(directory, codec=codec, frame=frame)
+        intact = session.status()
 
-    shards = shard_files(directory)
-    tail = shards[-1]
-    truncate_file(tail, keep=len(tail.read_bytes()) // 2)
+        shards = shard_files(directory)
+        tail = shards[-1]
+        truncate_file(tail, keep=len(tail.read_bytes()) // 2)
 
-    restored = EvaluationSession.restore(
-        directory, wal_factory=lambda d: SessionWAL(d, codec=codec))
-    # The torn write was the final ingest; everything acknowledged
-    # before it survives, and the proposal it answered is outstanding
-    # again.
-    assert restored.wal.recovered and \
-        restored.wal.recovered[0]["file"] == tail.name
-    assert not tail.exists()  # unlinked, so the sequence has no ghost
-    status = restored.status()
-    assert status["draws"] == intact["draws"] - 5
-    assert status["labels_consumed"] < intact["labels_consumed"]
-    assert status["outstanding"] is not None
-    # ...and the log keeps appending cleanly from the recovered seq.
-    restored.ingest(status["outstanding"]["ticket"],
-                    [0] * len(status["outstanding"]["pending"]))
-    again = EvaluationSession.restore(
-        directory, wal_factory=lambda d: SessionWAL(d, codec=codec))
-    assert again.wal.recovered == []
-    assert again.status()["draws"] == intact["draws"]
+        restored = EvaluationSession.restore(
+            directory, wal_factory=lambda d: SessionWAL(d, codec=codec))
+        # The torn write was the final ingest; everything acknowledged
+        # before it survives, and the proposal it answered is
+        # outstanding again.
+        assert restored.wal.recovered and \
+            restored.wal.recovered[0]["file"] == tail.name, frame
+        assert not tail.exists()  # unlinked, so the sequence has no ghost
+        status = restored.status()
+        assert status["draws"] == intact["draws"] - 5
+        assert status["labels_consumed"] < intact["labels_consumed"]
+        assert status["outstanding"] is not None
+        # ...and the log keeps appending cleanly from the recovered seq.
+        restored.ingest(status["outstanding"]["ticket"],
+                        [0] * len(status["outstanding"]["pending"]))
+        again = EvaluationSession.restore(
+            directory, wal_factory=lambda d: SessionWAL(d, codec=codec))
+        assert again.wal.recovered == []
+        assert again.status()["draws"] == intact["draws"]
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
 def test_truncation_mid_log_raises_corrupt_state(tmp_path, codec):
-    directory = tmp_path / "s"
-    make_session(directory, codec=codec)
-    victim = shard_files(directory)[1]  # acknowledged history, not the tail
-    truncate_file(victim, keep=6)
-    with pytest.raises(CorruptStateError) as excinfo:
-        EvaluationSession.restore(directory)
-    assert victim.name in str(excinfo.value)
-    assert excinfo.value.path == str(victim)
-    assert excinfo.value.offset == 6
+    for frame in FRAMES:
+        directory = tmp_path / frame
+        make_session(directory, codec=codec, frame=frame)
+        victim = shard_files(directory)[1]  # acknowledged history
+        truncate_file(victim, keep=6)
+        with pytest.raises(CorruptStateError) as excinfo:
+            EvaluationSession.restore(directory)
+        assert victim.name in str(excinfo.value)
+        assert excinfo.value.path == str(victim)
+        assert excinfo.value.offset == 6
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
 def test_bit_flip_raises_corrupt_state_naming_the_file(tmp_path, codec):
-    directory = tmp_path / "s"
-    make_session(directory, codec=codec)
-    victim = shard_files(directory)[0]
-    flip_bits(victim, [len(victim.read_bytes()) - 1])  # payload bit rot
-    with pytest.raises(CorruptStateError, match="CRC32C") as excinfo:
-        EvaluationSession.restore(directory)
-    assert victim.name in str(excinfo.value)
+    for frame in FRAMES:
+        directory = tmp_path / frame
+        make_session(directory, codec=codec, frame=frame)
+        victim = shard_files(directory)[0]
+        flip_bits(victim, [len(victim.read_bytes()) - 1])  # payload rot
+        with pytest.raises(CorruptStateError,
+                           match=f"{frame} checksum") as excinfo:
+            EvaluationSession.restore(directory)
+        assert victim.name in str(excinfo.value)
+        assert excinfo.value.path == str(victim)
+        assert excinfo.value.offset == 12
 
 
 def test_trailing_garbage_raises_corrupt_state(tmp_path):
-    directory = tmp_path / "s"
-    make_session(directory)
-    victim = shard_files(directory)[0]
-    victim.write_bytes(victim.read_bytes() + b"??")
-    with pytest.raises(CorruptStateError, match="trailing garbage"):
-        EvaluationSession.restore(directory)
+    for frame in FRAMES:
+        directory = tmp_path / frame
+        make_session(directory, frame=frame)
+        victim = shard_files(directory)[0]
+        victim.write_bytes(victim.read_bytes() + b"??")
+        with pytest.raises(CorruptStateError, match="trailing garbage"):
+            EvaluationSession.restore(directory)
 
 
 def test_empty_tail_shard_recovers_but_empty_mid_log_raises(tmp_path):
-    directory = tmp_path / "s"
-    make_session(directory)
-    shards = shard_files(directory)
-    shards[-1].write_bytes(b"")
-    restored = EvaluationSession.restore(directory)
-    assert restored.wal.recovered
-    shards = shard_files(restored.wal.directory)
-    shards[0].write_bytes(b"")
-    with pytest.raises(CorruptStateError):
-        EvaluationSession.restore(directory)
+    for frame in FRAMES:
+        directory = tmp_path / frame
+        make_session(directory, frame=frame)
+        shards = shard_files(directory)
+        shards[-1].write_bytes(b"")
+        restored = EvaluationSession.restore(directory)
+        assert restored.wal.recovered, frame
+        shards = shard_files(restored.wal.directory)
+        shards[0].write_bytes(b"")
+        with pytest.raises(CorruptStateError):
+            EvaluationSession.restore(directory)
+
+
+def test_magic_prefix_tail_is_torn_for_either_frame_version(tmp_path):
+    """A tail holding 0-3 bytes of ``WFC`` could have become either
+    version's frame, so it is a torn write, not corruption."""
+    for prefix in (b"W", b"WF", b"WFC"):
+        directory = tmp_path / prefix.decode()
+        intact = make_session(directory, rounds=2).status()
+        tail = shard_files(directory)[-1]
+        tail.write_bytes(prefix)
+        restored = EvaluationSession.restore(directory)
+        assert restored.wal.recovered[0]["offset"] == len(prefix)
+        assert restored.status()["draws"] == intact["draws"] - 5
 
 
 def test_pre_frame_shards_still_load(tmp_path):
@@ -183,7 +241,7 @@ def test_pre_frame_shards_still_load(tmp_path):
     expected = session.status()
     for path in shard_files(directory):
         data = path.read_bytes()
-        assert data[:4] == b"WFC1"
+        assert data[:4] == b"WFC2"
         payload = data[12:]  # strip magic + length + crc → legacy shape
         path.write_bytes(payload)
     restored = EvaluationSession.restore(directory)
@@ -192,37 +250,78 @@ def test_pre_frame_shards_still_load(tmp_path):
 
 
 def test_manifest_digest_detects_rot_and_sidecar_is_optional(tmp_path):
-    directory = tmp_path / "s"
-    make_session(directory, rounds=1)
-    sidecar = directory / SessionWAL.MANIFEST_DIGEST
-    assert sidecar.is_file()
+    for frame, digest in zip(FRAMES, (SessionWAL.MANIFEST_DIGEST,
+                                      LEGACY_DIGEST)):
+        directory = tmp_path / frame
+        make_session(directory, rounds=1, frame=frame)
+        assert digest_files(directory) == [digest]
+        # An idempotent re-create keeps the session's one sidecar,
+        # a legacy one included.
+        wal = SessionWAL(directory)
+        wal.write_manifest(wal.read_manifest())
+        assert digest_files(directory) == [digest]
 
-    manifest = directory / SessionWAL.MANIFEST
-    original = manifest.read_bytes()
-    flip_bits(manifest, [len(original) // 2])
-    with pytest.raises(CorruptStateError, match="manifest"):
-        EvaluationSession.restore(directory)
+        manifest = directory / SessionWAL.MANIFEST
+        original = manifest.read_bytes()
+        flip_bits(manifest, [len(original) // 2])
+        with pytest.raises(CorruptStateError, match=digest):
+            EvaluationSession.restore(directory)
 
-    # Without the sidecar the (restored) manifest loads unverified —
-    # the pre-digest journal layout.
-    manifest.write_bytes(original)
-    sidecar.unlink()
-    assert EvaluationSession.restore(directory).status()["draws"] > 0
+        # Without the sidecar the (restored) manifest loads unverified —
+        # the pre-digest journal layout — and a re-create adds the
+        # current sidecar.
+        manifest.write_bytes(original)
+        (directory / digest).unlink()
+        assert EvaluationSession.restore(directory).status()["draws"] > 0
+        wal.write_manifest(wal.read_manifest())
+        assert digest_files(directory) == [SessionWAL.MANIFEST_DIGEST]
 
 
 def test_batch_shards_are_framed_and_torn_batch_tail_recovers(tmp_path):
-    directory = tmp_path / "s"
-    session = make_session(
-        directory, rounds=3,
-        wal_factory=lambda d: GroupCommitWAL(d, max_batch=64))
-    session.wal.flush()
-    shards = shard_files(directory)
-    assert all(path.name.startswith("b") for path in shards)
-    truncate_file(shards[-1], keep=20)
-    restored = EvaluationSession.restore(directory)
-    assert restored.wal.recovered
-    # A torn batch drops *all* its events — none were acknowledged.
-    assert restored.status()["draws"] == 0
+    for frame in FRAMES:
+        directory = tmp_path / frame
+        make_session(
+            directory, rounds=3, frame=frame,
+            wal_factory=lambda d: GroupCommitWAL(d, max_batch=64))
+        shards = shard_files(directory)
+        assert all(path.name.startswith("b") for path in shards)
+        assert all(path.read_bytes()[:4] == frame.encode()
+                   for path in shards)
+        truncate_file(shards[-1], keep=20)
+        restored = EvaluationSession.restore(directory)
+        assert restored.wal.recovered, frame
+        # A torn batch drops *all* its events — none were acknowledged.
+        assert restored.status()["draws"] == 0
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_wfc2_shards_appended_to_a_wfc1_journal_restore_bit_identically(
+        tmp_path, codec):
+    """Upgrade in place: a journal written before ``WFC2`` (checkpoint
+    included) keeps growing under current code, and the mixed journal
+    restores onto the uninterrupted run's exact trajectory."""
+    def factory(directory):
+        return SessionWAL(directory, codec=codec)
+
+    reference = make_session(tmp_path / "reference", codec=codec, rounds=2)
+    reference.checkpoint()
+    drive(reference, 4)
+
+    legacy = make_session(tmp_path / "mixed", codec=codec, rounds=2)
+    legacy.checkpoint()
+    drive(legacy, 1)
+    to_wfc1(tmp_path / "mixed")
+    drive(EvaluationSession.restore(tmp_path / "mixed",
+                                    wal_factory=factory), 3)
+
+    magics = [path.read_bytes()[:4] for path in shard_files(tmp_path / "mixed")]
+    assert magics == [b"WFC1"] * 7 + [b"WFC2"] * 6
+    restored = EvaluationSession.restore(tmp_path / "mixed",
+                                         wal_factory=factory)
+    assert restored.wal.recovered == []
+    assert restored.estimate_payload() == reference.estimate_payload()
+    assert restored.history_payload() == reference.history_payload()
+    assert restored.propose(5) == reference.propose(5)
 
 
 # -- exactly-once idempotency ----------------------------------------------

@@ -320,10 +320,12 @@ class TestShardedScrapes:
                 thread.start()
             for thread in drivers:
                 thread.join()
-            parsed, _, _ = scrape(service.port)
-            scrapes.append(parsed)
+            # The scraper stops before the final scrape: the list must be
+            # in render order, which two appending threads do not keep.
             stop.set()
             scrape_thread.join()
+            parsed, _, _ = scrape(service.port)
+            scrapes.append(parsed)
 
             # Monotonicity: no counter ever dips between scrapes.
             monotone_checked = 0
