@@ -8,16 +8,20 @@ deliberately smaller than the paper's 1000 (Monte-Carlo error scales as
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
 import pytest
 
-from repro.core import OASISSampler
 from repro.datasets import load_benchmark
-from repro.experiments import SamplerSpec
-from repro.samplers import ImportanceSampler, PassiveSampler, StratifiedSampler
+from repro.experiments import make_sampler_spec
 
 # Repeats per sampler configuration in the experiment benchmarks.
 N_REPEATS = 10
+
+# Worker processes for the experiment benchmarks' ``run_trials`` calls.
+# Results are bit-identical for every worker count, so this only sets
+# wall time; two keeps the process count small on a shared host.
+N_WORKERS = min(2, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
@@ -34,42 +38,26 @@ def pools():
 
 
 def standard_specs(pool, *, oasis_k=(30, 60, 120), calibrated=False):
-    """The paper's Figure 2 line-up: Passive, Stratified, IS, OASIS K."""
+    """The paper's Figure 2 line-up: Passive, Stratified, IS, OASIS K.
+
+    Picklable specs, so ``run_trials`` can fan them out over
+    :data:`N_WORKERS` processes.
+    """
     threshold = pool.threshold
-
-    def oasis_factory(k):
-        return lambda p, s, o, r: OASISSampler(
-            p, s, o, n_strata=k, threshold=threshold, random_state=r
-        )
-
     specs = [
-        SamplerSpec(
-            "Passive",
-            lambda p, s, o, r: PassiveSampler(p, s, o, random_state=r),
-            use_calibrated_scores=calibrated,
-        ),
-        SamplerSpec(
-            "Stratified",
-            lambda p, s, o, r: StratifiedSampler(
-                p, s, o, n_strata=30, random_state=r
-            ),
-            use_calibrated_scores=calibrated,
-        ),
-        SamplerSpec(
-            "IS",
-            lambda p, s, o, r: ImportanceSampler(
-                p, s, o, threshold=threshold, random_state=r
-            ),
-            use_calibrated_scores=calibrated,
-        ),
+        make_sampler_spec("passive", name="Passive",
+                          use_calibrated_scores=calibrated),
+        make_sampler_spec("stratified", name="Stratified",
+                          use_calibrated_scores=calibrated, n_strata=30),
+        make_sampler_spec("importance", name="IS",
+                          use_calibrated_scores=calibrated,
+                          threshold=threshold),
     ]
     for k in oasis_k:
         specs.append(
-            SamplerSpec(
-                f"OASIS {k}",
-                oasis_factory(k),
-                use_calibrated_scores=calibrated,
-            )
+            make_sampler_spec("oasis", name=f"OASIS {k}",
+                              use_calibrated_scores=calibrated,
+                              n_strata=k, threshold=threshold)
         )
     return specs
 

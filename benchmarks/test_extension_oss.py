@@ -12,28 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import (
-    SamplerSpec,
     aggregate_trajectories,
     format_series,
+    make_sampler_spec,
     run_trials,
 )
-from repro.samplers import OSSSampler
 
-from conftest import N_REPEATS, run_once, standard_specs
+from conftest import N_REPEATS, N_WORKERS, run_once, standard_specs
 
 BUDGETS = [100, 250, 500, 1000, 2000, 4000]
 
 
 def _run(pool):
     specs = standard_specs(pool, oasis_k=(30,))
-    specs.append(
-        SamplerSpec(
-            "OSS",
-            lambda p, s, o, r: OSSSampler(p, s, o, n_strata=30, random_state=r),
-        )
-    )
+    specs.append(make_sampler_spec("oss", name="OSS", n_strata=30))
     results = run_trials(
-        pool, specs, budgets=BUDGETS, n_repeats=N_REPEATS, random_state=77
+        pool, specs, budgets=BUDGETS, n_repeats=N_REPEATS, random_state=77,
+        n_workers=N_WORKERS,
     )
     return {name: aggregate_trajectories(res) for name, res in results.items()}
 

@@ -12,16 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import OASISSampler
 from repro.experiments import (
-    SamplerSpec,
     aggregate_trajectories,
     format_series,
+    make_sampler_spec,
     run_trials,
 )
-from repro.samplers import ImportanceSampler
 
-from conftest import N_REPEATS, run_once
+from conftest import N_WORKERS, run_once
 
 BUDGETS = [100, 250, 500, 1000, 2000, 3000]
 N_REPEATS_FIG3 = 30
@@ -30,35 +28,20 @@ N_REPEATS_FIG3 = 30
 def _specs(pool):
     threshold = pool.threshold
     return [
-        SamplerSpec(
-            "IS uncal",
-            lambda p, s, o, r: ImportanceSampler(
-                p, s, o, threshold=threshold, random_state=r
-            ),
-        ),
-        SamplerSpec(
-            "IS cal",
-            lambda p, s, o, r: ImportanceSampler(p, s, o, random_state=r),
-            use_calibrated_scores=True,
-        ),
-        SamplerSpec(
-            "OASIS uncal",
-            lambda p, s, o, r: OASISSampler(
-                p, s, o, n_strata=60, threshold=threshold, random_state=r
-            ),
-        ),
-        SamplerSpec(
-            "OASIS cal",
-            lambda p, s, o, r: OASISSampler(p, s, o, n_strata=60, random_state=r),
-            use_calibrated_scores=True,
-        ),
+        make_sampler_spec("importance", name="IS uncal", threshold=threshold),
+        make_sampler_spec("importance", name="IS cal",
+                          use_calibrated_scores=True),
+        make_sampler_spec("oasis", name="OASIS uncal", n_strata=60,
+                          threshold=threshold),
+        make_sampler_spec("oasis", name="OASIS cal", n_strata=60,
+                          use_calibrated_scores=True),
     ]
 
 
 def _run(pool):
     results = run_trials(
         pool, _specs(pool), budgets=BUDGETS,
-        n_repeats=N_REPEATS_FIG3, random_state=31,
+        n_repeats=N_REPEATS_FIG3, random_state=31, n_workers=N_WORKERS,
     )
     return {name: aggregate_trajectories(res) for name, res in results.items()}
 

@@ -21,7 +21,7 @@ from repro.classifiers import (
 from repro.datasets import load_benchmark
 from repro.experiments import aggregate_trajectories, format_table, run_trials
 
-from conftest import run_once, standard_specs
+from conftest import N_WORKERS, run_once, standard_specs
 
 BUDGET = 1500
 N_REPEATS = 8
@@ -41,7 +41,8 @@ def _evaluate_classifier(name, factory):
     )
     specs = standard_specs(pool, oasis_k=(30,))
     results = run_trials(
-        pool, specs, budgets=[BUDGET], n_repeats=N_REPEATS, random_state=5
+        pool, specs, budgets=[BUDGET], n_repeats=N_REPEATS, random_state=5,
+        n_workers=N_WORKERS,
     )
     row = {"classifier": name, "true_f": pool.performance["f_measure"]}
     for method, result in results.items():
