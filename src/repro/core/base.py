@@ -22,9 +22,10 @@ Two execution paths share that contract:
   ``batch_size=1`` is bit-identical to one sequential step under the
   same random state.
 
-The batched path is itself split into two halves — a *propose* phase
-(:meth:`BaseEvaluationSampler._propose_batch`: consume randomness, pick
-the draws) and a *commit* phase
+Every sampler implements three abstract methods: :meth:`_step` for the
+sequential path, and the two halves of the batched path — a *propose*
+phase (:meth:`BaseEvaluationSampler._propose_batch`: consume
+randomness, pick the draws) and a *commit* phase
 (:meth:`BaseEvaluationSampler._commit_batch`: fold the labels into the
 model, estimator and histories).  The oracle round-trip sits exactly at
 the seam, which is what lets the serving layer
@@ -324,6 +325,7 @@ class BaseEvaluationSampler(abc.ABC):
     def _step(self) -> None:
         """Perform one sampling iteration, appending to the histories."""
 
+    @abc.abstractmethod
     def _propose_batch(self, batch_size: int) -> dict:
         """Propose phase of one batched iteration: pick the draws.
 
@@ -331,14 +333,9 @@ class BaseEvaluationSampler(abc.ABC):
         labels — the drawn indices plus whatever per-sampler context
         (strata, weights, frozen proposal) the commit phase needs.
         Returns a context dict with at least ``"indices"``.
-
-        Subclasses with a vectorised batched path override this
-        together with :meth:`_commit_batch`; the base implementation
-        signals "no split path" and :meth:`_step_batch` falls back to
-        looping :meth:`_step`.
         """
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def _commit_batch(self, context, labels, new_mask) -> None:
         """Commit phase of one batched iteration: fold the labels in.
 
@@ -347,30 +344,9 @@ class BaseEvaluationSampler(abc.ABC):
         ``context["indices"]``.  Updates model, estimator and the
         histories — everything downstream of the oracle round-trip.
         """
-        raise NotImplementedError
-
-    @property
-    def supports_propose_ingest(self) -> bool:
-        """Whether this sampler implements the split batched path.
-
-        Split samplers can be driven through the asynchronous
-        propose-pairs → ingest-labels protocol of
-        :class:`repro.service.session.EvaluationSession`.
-        """
-        return type(self)._propose_batch is not BaseEvaluationSampler._propose_batch
 
     def _step_batch(self, batch_size: int) -> None:
-        """Perform one batched iteration of ``batch_size`` draws.
-
-        Runs propose → oracle round-trip → commit when the sampler
-        implements the split path; otherwise falls back to looping
-        :meth:`_step`, preserving exact sequential semantics for
-        samplers without a vectorised path.
-        """
-        if not self.supports_propose_ingest:
-            for __ in range(batch_size):
-                self._step()
-            return
+        """One batched iteration: propose, one oracle round-trip, commit."""
         context = self._propose_batch(batch_size)
         labels, new_mask = self._query_labels(context["indices"])
         self._commit_batch(context, labels, new_mask)

@@ -24,6 +24,8 @@ implementation.  ``alpha=`` and the ``f_measure()`` / ``precision`` /
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 
 from repro.measures.ratio import (
@@ -262,18 +264,18 @@ class AISEstimator:
 
         Based on the asymptotic normality of the importance-weighted
         ratio estimator; clipped symmetrically into the measure's
-        bounds ([0, 1] for the F family).  Returns (NaN, NaN) while the
-        estimate or its variance is undefined.
+        bounds ([0, 1] for the F family).  The normal quantile comes
+        from the standard library's ``statistics.NormalDist().inv_cdf``.
+        Returns (NaN, NaN) while the estimate or its variance is
+        undefined.
         """
-        from scipy import stats
-
         check_in_range(level, 0.0, 1.0, "level", low_open=True, high_open=True)
         measure = self._resolve(alpha, measure)
         g_hat = self.measure_value(measure)
         variance = self.variance_estimate(measure=measure)
         if np.isnan(g_hat) or np.isnan(variance):
             return (float("nan"), float("nan"))
-        z = float(stats.norm.ppf(0.5 + level / 2.0))
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         half = z * np.sqrt(variance)
         low, high = measure.bounds
         return (max(low, g_hat - half), min(high, g_hat + half))

@@ -8,11 +8,12 @@ true label with their own accuracy, and returns the majority vote.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy import stats
 
 from repro.oracle.base import BaseOracle
-from repro.utils import ensure_rng
+from repro.utils import check_in_range, ensure_rng
 
 __all__ = ["CrowdOracle"]
 
@@ -96,10 +97,13 @@ class CrowdOracle(BaseOracle):
 
         Utility for sizing crowd experiments: given ``n_votes`` queries,
         the interval within which the observed accuracy should fall.
+        ``confidence`` must lie in (0, 1).
         """
         if n_votes <= 0:
             raise ValueError("n_votes must be positive")
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        check_in_range(confidence, 0.0, 1.0, "confidence",
+                       low_open=True, high_open=True)
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
         p = self._p_correct_majority
         denom = 1.0 + z**2 / n_votes
         centre = (p + z**2 / (2 * n_votes)) / denom

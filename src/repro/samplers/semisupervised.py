@@ -27,12 +27,15 @@ model misfit it is *biased* — more labels do not fix it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.measures.ratio import resolve_measure
 from repro.utils import check_in_range, check_positive, ensure_rng
 
 __all__ = ["BetaMixtureModel", "SemiSupervisedEstimator"]
+
+# ``scipy.stats`` is imported inside the methods that evaluate a Beta
+# distribution: its import costs ~0.7 s and ~70 MiB, and ``repro/__init__``
+# imports this module, so every process would pay that at start-up.
 
 # Scores are clipped into the open unit interval before fitting: Beta
 # densities are unbounded or zero at {0, 1}.
@@ -84,6 +87,8 @@ class BetaMixtureModel:
         labels:
             The corresponding binary labels.
         """
+        from scipy import stats
+
         scores = np.clip(np.asarray(scores, dtype=float), _EDGE, 1.0 - _EDGE)
         n = len(scores)
         if n == 0:
@@ -130,11 +135,15 @@ class BetaMixtureModel:
 
     def positive_tail(self, threshold: float) -> float:
         """P(s >= threshold | l = 1) under the fitted model."""
+        from scipy import stats
+
         a, b = self.pos_params_
         return float(stats.beta.sf(np.clip(threshold, _EDGE, 1 - _EDGE), a, b))
 
     def negative_tail(self, threshold: float) -> float:
         """P(s >= threshold | l = 0) under the fitted model."""
+        from scipy import stats
+
         a, b = self.neg_params_
         return float(stats.beta.sf(np.clip(threshold, _EDGE, 1 - _EDGE), a, b))
 

@@ -311,7 +311,8 @@ class ShardClient:
         """One RPC round trip; returns ``(status, reply_bytes, retry_after)``.
 
         ``timeout`` (seconds) defaults to the client's configured
-        timeout.  ``request_id`` is the HTTP front door's trace id; it
+        timeout; the deadline starts when this is called, before
+        connecting.  ``request_id`` is the HTTP front door's trace id; it
         defaults to the id bound in the logging context (set by the
         handler thread), so tracing survives this hop without every
         caller threading it through.  Raises :class:`OverloadError`
@@ -320,6 +321,7 @@ class ShardClient:
         but did not answer in time (may have executed — retry with an
         idempotency key).
         """
+        started = time.monotonic()
         if request_id is None:
             request_id = current_request_id()
         sock = self._ensure_connected()
@@ -344,12 +346,16 @@ class ShardClient:
                 raise OverloadError(
                     f"shard {self.index} went away mid-send; retry",
                     retry_after=0.2) from exc
-        return self._await(waiter, timeout, frame_id)
+        return self._await(waiter, timeout, started, frame_id)
 
-    def _await(self, waiter: _Waiter, timeout: float | None, frame_id=None):
+    def _await(self, waiter: _Waiter, timeout: float | None, started: float,
+               frame_id=None):
+        """The reply to a request issued at ``started`` (monotonic); raises
+        once its deadline has passed, even if the reply is already in."""
         if timeout is None:
             timeout = self.timeout
-        if not waiter.event.wait(timeout):
+        remaining = started + timeout - time.monotonic()
+        if remaining <= 0 or not waiter.event.wait(remaining):
             self._pending.pop(frame_id, None)
             raise DeadlineExceededError(
                 f"shard {self.index} did not answer within {timeout:g}s; "
@@ -372,11 +378,12 @@ class LocalShardClient(ShardClient):
     def request_raw(self, op: str, sid: str | None = None, body: bytes = b"",
                     timeout: float | None = None,
                     request_id: str | None = None):
+        started = time.monotonic()
         waiter = _Waiter()
         admit(self.state, waiter, {
             "op": op, "sid": sid, "rid": request_id or current_request_id(),
         }, body)
-        return self._await(waiter, timeout)
+        return self._await(waiter, timeout, started)
 
 
 # -- supervisor ------------------------------------------------------------

@@ -105,8 +105,8 @@ class EvaluationSession:
         Identity of the session (also its directory name under a
         service root).
     sampler:
-        A sampler supporting the propose/ingest split, hosted by this
-        session and never driven synchronously.
+        The sampler hosted by this session; it is never driven
+        synchronously.
     config:
         The manifest payload describing how ``sampler`` was built.
     wal:
@@ -120,11 +120,6 @@ class EvaluationSession:
 
     def __init__(self, session_id: str, sampler, config: dict,
                  wal: SessionWAL | None = None, *, metrics=None):
-        if not sampler.supports_propose_ingest:
-            raise ValueError(
-                f"{type(sampler).__name__} does not implement the "
-                "propose/ingest split and cannot be served"
-            )
         self.session_id = session_id
         self.sampler = sampler
         self.config = config

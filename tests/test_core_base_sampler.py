@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.base import BaseEvaluationSampler
 from repro.oracle import DeterministicOracle
 from repro.samplers import PassiveSampler
 
@@ -40,6 +41,16 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="non-binary"):
             sampler.sample(5)
+
+    def test_sampler_without_the_batched_split_cannot_be_built(self):
+        # Every sampler serves the propose/ingest protocol, so the two
+        # halves of the batched step are abstract, like ``_step``.
+        class StepOnly(BaseEvaluationSampler):
+            def _step(self):
+                pass
+
+        with pytest.raises(TypeError, match="_commit_batch.*_propose_batch"):
+            StepOnly([1, 0], [1.0, 0.0], DeterministicOracle([1, 0]))
 
 
 class TestSamplingContract:

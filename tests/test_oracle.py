@@ -122,6 +122,13 @@ class TestCrowdOracle:
         lo2, hi2 = oracle.wilson_interval(5000)
         assert (hi2 - lo2) < (hi1 - lo1)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_wilson_interval_rejects_confidence_outside_unit_interval(
+            self, confidence):
+        oracle = CrowdOracle([1], [0.8] * 3, random_state=0)
+        with pytest.raises(ValueError, match="confidence"):
+            oracle.wilson_interval(100, confidence)
+
     def test_invalid_accuracy_raises(self):
         with pytest.raises(ValueError):
             CrowdOracle([1], [1.2])

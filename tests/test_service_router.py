@@ -4,6 +4,8 @@ The ring decides which shard directory owns which session journal, so
 its two load-bearing properties are determinism (every process, every
 restart, same mapping) and stability (resizing moves few keys).  The
 topology file turns the shard count into part of the root's identity.
+A shard client's deadline starts when the request is issued, not when
+the client begins waiting for the reply.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ import json
 
 import pytest
 
-from repro.service.router import HashRing, init_topology, load_topology
+from repro.service.errors import DeadlineExceededError
+from repro.service.router import (
+    HashRing,
+    LocalShardClient,
+    init_topology,
+    load_topology,
+)
+from repro.service.shard import open_shard
 
 
 class TestHashRing:
@@ -76,3 +85,13 @@ class TestTopology:
 
     def test_missing_root_reports_none(self, tmp_path):
         assert load_topology(tmp_path / "nowhere") is None
+
+
+class TestDeadline:
+    def test_deadline_starts_before_the_request_is_admitted(self):
+        # ``ping`` is answered inside admission, before the client waits
+        # for the reply; a deadline that passed meanwhile still counts.
+        client = LocalShardClient(open_shard(None, {}))
+        with pytest.raises(DeadlineExceededError):
+            client.request_raw("ping", timeout=1e-9)
+        assert client.request_raw("ping")[0] == 200
