@@ -279,37 +279,43 @@ def _band_keys(
     array of band signatures and ``valid`` marks records whose key has
     at least one token.  Only the compact band keys are retained — the
     full ``bands * rows`` signature matrix exists per chunk only.
+
+    The minima are taken one permutation at a time: the chunk's flat
+    token hashes are permuted in place into one scratch vector and
+    min-reduced per record into one row of an ``(n_perm, n_valid)``
+    array, so the transient memory is two token-length vectors plus the
+    minima, never a ``(tokens, n_perm)`` matrix.  uint64 arithmetic on
+    arrays wraps around without a floating-point warning.
     """
     n_perm = bands * rows
     key_blocks: list[np.ndarray] = []
     valid_blocks: list[np.ndarray] = []
-    old = np.seterr(over="ignore")
-    try:
-        for chunk in store.iter_normalised_chunks(field, chunk_size):
-            lengths = np.empty(len(chunk), dtype=np.int64)
-            flat: list[int] = []
-            for i, key in enumerate(chunk):
-                hashes = _token_hashes(key, token_cache, ngram_size)
-                lengths[i] = len(hashes)
-                flat.extend(hashes)
-            valid = lengths > 0
-            keys = np.zeros((len(chunk), bands), dtype=np.uint64)
-            if flat:
-                x = np.array(flat, dtype=np.uint64)
-                # (tokens, n_perm) permuted hashes, min-reduced per record.
-                hashed = params_a[None, :] * x[:, None] + params_b[None, :]
-                offsets = np.zeros(int(valid.sum()), dtype=np.int64)
-                np.cumsum(lengths[valid][:-1], out=offsets[1:])
-                minima = np.minimum.reduceat(hashed, offsets, axis=0)
-                sig = minima.reshape(-1, bands, rows)
-                band = sig[:, :, 0].copy()
-                for r in range(1, rows):
-                    band = band * _MIX ^ sig[:, :, r]
-                keys[valid] = band
-            key_blocks.append(keys)
-            valid_blocks.append(valid)
-    finally:
-        np.seterr(**old)
+    for chunk in store.iter_normalised_chunks(field, chunk_size):
+        lengths = np.empty(len(chunk), dtype=np.int64)
+        flat: list[int] = []
+        for i, key in enumerate(chunk):
+            hashes = _token_hashes(key, token_cache, ngram_size)
+            lengths[i] = len(hashes)
+            flat.extend(hashes)
+        valid = lengths > 0
+        keys = np.zeros((len(chunk), bands), dtype=np.uint64)
+        if flat:
+            x = np.array(flat, dtype=np.uint64)
+            h = np.empty_like(x)
+            offsets = np.zeros(int(valid.sum()), dtype=np.int64)
+            np.cumsum(lengths[valid][:-1], out=offsets[1:])
+            minima = np.empty((n_perm, len(offsets)), dtype=np.uint64)
+            for p in range(n_perm):
+                np.multiply(x, params_a[p], out=h)
+                h += params_b[p]
+                np.minimum.reduceat(h, offsets, out=minima[p])
+            sig = minima.reshape(bands, rows, -1)
+            band = sig[:, 0].copy()
+            for r in range(1, rows):
+                band = band * _MIX ^ sig[:, r]
+            keys[valid] = band.T
+        key_blocks.append(keys)
+        valid_blocks.append(valid)
     if not key_blocks:
         return (
             np.empty((0, bands), dtype=np.uint64),

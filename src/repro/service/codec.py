@@ -268,7 +268,7 @@ class _Reader:
 
 
 def _unpack(reader: _Reader):
-    tag = reader.take(1)
+    tag = bytes(reader.take(1))
     if tag == b"N":
         return None
     if tag == b"T":
@@ -278,13 +278,13 @@ def _unpack(reader: _Reader):
     if tag == b"i":
         return struct.unpack(">q", reader.take(8))[0]
     if tag == b"I":
-        return int(reader.take(reader.u32()).decode("ascii"))
+        return int(str(reader.take(reader.u32()), "ascii"))
     if tag == b"d":
         return struct.unpack(">d", reader.take(8))[0]
     if tag == b"s":
-        return reader.take(reader.u32()).decode("utf-8")
+        return str(reader.take(reader.u32()), "utf-8")
     if tag == b"a":
-        dtype = np.dtype(reader.take(reader.u32()).decode("ascii"))
+        dtype = np.dtype(str(reader.take(reader.u32()), "ascii"))
         ndim = reader.u32()
         shape = struct.unpack(f">{ndim}Q", reader.take(8 * ndim))
         data = reader.take(struct.unpack(">Q", reader.take(8))[0])
@@ -295,7 +295,7 @@ def _unpack(reader: _Reader):
     if tag == b"m":
         out = {}
         for _ in range(reader.u32()):
-            key = reader.take(reader.u32()).decode("utf-8")
+            key = str(reader.take(reader.u32()), "utf-8")
             out[key] = _unpack(reader)
         return out
     if tag == b"l":
@@ -322,7 +322,8 @@ def load_state_binary(data: bytes):
     Returns *decoded* state (arrays as ``ndarray``, big integers as
     ``int``), exactly as :func:`load_state` does for the JSON form:
     ``load_state_binary(dump_state_binary(x)) == load_state(dump_state(x))``
-    for every ``x`` either codec accepts.
+    for every ``x`` either codec accepts.  ``data`` may be any bytes-like
+    object; the WAL passes a memoryview of the shard it read.
     """
     if data[:4] != _BINARY_MAGIC:
         raise ValueError(

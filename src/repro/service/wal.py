@@ -127,17 +127,21 @@ class _TornShard(Exception):
         self.offset = offset
 
 
+def _frame_header(payload: bytes) -> bytes:
+    """The magic and header a frame writes ahead of ``payload``."""
+    return _FRAME_MAGIC + _FRAME_HEADER.pack(len(payload), _CHECKSUM(payload))
+
+
 def frame_payload(payload: bytes) -> bytes:
     """Wrap serialised shard bytes in a checksummed frame."""
-    return (_FRAME_MAGIC
-            + _FRAME_HEADER.pack(len(payload), _CHECKSUM(payload))
-            + payload)
+    return _frame_header(payload) + payload
 
 
-def unframe_payload(data: bytes, path) -> bytes:
+def unframe_payload(data: bytes, path) -> bytes | memoryview:
     """Verify and strip a shard frame; pass pre-frame shards through.
 
-    The frame's magic picks the checksum to verify it with.  Raises
+    A framed payload comes back as a memoryview of ``data``, not a
+    copy.  The frame's magic picks the checksum to verify it with.  Raises
     :class:`_TornShard` when the file stops before the frame does (a
     torn write — only ever legitimate at the log's tail) and
     :class:`~repro.utils.CorruptStateError` when the bytes are all
@@ -166,7 +170,7 @@ def unframe_payload(data: bytes, path) -> bytes:
             f"WAL shard {path} carries {len(data) - expected} bytes of "
             f"trailing garbage after its frame (offset {expected})",
             path=path, offset=expected)
-    payload = data[_FRAME_PREFIX:]
+    payload = memoryview(data)[_FRAME_PREFIX:]
     actual = _FRAME_VERSIONS[magic][1](payload)
     if actual != checksum:
         raise CorruptStateError(
@@ -372,16 +376,17 @@ class SessionWAL:
             data = dump_state_binary(content)
         else:
             data = json.dumps(encode_state(content)).encode("utf-8")
-        self._write_durable(self.event_dir / name, frame_payload(data))
+        self._write_durable(self.event_dir / name, data)
 
     def _write_durable(self, path: Path, data: bytes) -> None:
-        """tmp-write → fsync → rename → directory fsync, with stage hooks.
+        """Write ``data`` framed: tmp-write → fsync → rename → dir fsync.
 
-        The inline spelling (rather than
-        :func:`repro.utils.atomic_write_bytes`) exists so subclasses —
-        the fault-injection wrappers in :mod:`repro.service.faults` —
-        can interpose at every durability stage and kill the process
-        there.
+        The frame header and the payload go down as two writes, so the
+        payload is never copied into a framed buffer.  The inline
+        spelling (rather than :func:`repro.utils.atomic_write_bytes`)
+        exists so subclasses — the fault-injection wrappers in
+        :mod:`repro.service.faults` — can interpose at every durability
+        stage and kill the process there.
         """
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
@@ -389,6 +394,7 @@ class SessionWAL:
         try:
             self._stage("pre_write", path=path)
             with open(tmp, "wb") as handle:
+                handle.write(_frame_header(data))
                 handle.write(data)
                 handle.flush()
                 self._stage("pre_fsync", path=path)
@@ -434,7 +440,7 @@ class SessionWAL:
         try:
             if path.suffix == ".bin":
                 return load_state_binary(payload)
-            return json.loads(payload.decode("utf-8"))
+            return json.loads(str(payload, "utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise CorruptStateError(
                 f"WAL shard {path} does not decode as its "

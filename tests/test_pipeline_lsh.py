@@ -5,11 +5,16 @@ so its contract is asymmetric: it may *miss* pairs (bounded below by
 the seeded recall floor against the exact oracle) but everything it
 emits must be sound — a subset of the cross product, exactly
 deduplicated, deterministic in the seed and invariant to the chunk
-size it streams columns with.  The external-memory sorted
-neighbourhood must be bit-identical to the in-memory variant.
+size it streams columns with.  The band keys must equal those of the
+``(tokens, n_perm)`` broadcast formula the per-permutation loop
+replaced, and the signature pass must stay small in memory.  The
+external-memory sorted neighbourhood must be bit-identical to the
+in-memory variant.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.pipeline import (
     sorted_neighbourhood_pairs_external,
     token_blocking_pairs,
 )
+from repro.pipeline.blocking import _MIX, _band_keys, _token_hashes
 
 # Small word pool: collisions (shared tokens) are likely, which is
 # what exercises the banding and dedup paths.
@@ -101,6 +107,90 @@ def test_chunk_size_invariance(names_a, names_b, seed, chunk_size):
         store_a, store_b, "name", seed=seed, chunk_size=chunk_size
     )
     np.testing.assert_array_equal(reference, chunked)
+
+
+def _broadcast_band_keys(store, field, bands, rows, params_a, params_b,
+                         chunk_size, ngram_size):
+    """The parity oracle: band keys from the (tokens, n_perm) broadcast."""
+    key_blocks, valid_blocks = [], []
+    cache: dict[str, int] = {}
+    for chunk in store.iter_normalised_chunks(field, chunk_size):
+        lengths = np.empty(len(chunk), dtype=np.int64)
+        flat: list[int] = []
+        for i, key in enumerate(chunk):
+            hashes = _token_hashes(key, cache, ngram_size)
+            lengths[i] = len(hashes)
+            flat.extend(hashes)
+        valid = lengths > 0
+        keys = np.zeros((len(chunk), bands), dtype=np.uint64)
+        if flat:
+            x = np.array(flat, dtype=np.uint64)
+            hashed = params_a[None, :] * x[:, None] + params_b[None, :]
+            offsets = np.zeros(int(valid.sum()), dtype=np.int64)
+            np.cumsum(lengths[valid][:-1], out=offsets[1:])
+            minima = np.minimum.reduceat(hashed, offsets, axis=0)
+            sig = minima.reshape(-1, bands, rows)
+            band = sig[:, :, 0].copy()
+            for r in range(1, rows):
+                band = band * _MIX ^ sig[:, :, r]
+            keys[valid] = band
+        key_blocks.append(keys)
+        valid_blocks.append(valid)
+    return np.concatenate(key_blocks), np.concatenate(valid_blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=name_lists,
+    seed=st.integers(0, 10**6),
+    bands=st.integers(1, 8),
+    rows=st.integers(1, 4),
+    ngram_size=st.sampled_from([None, 3]),
+    chunk_size=st.integers(1, 20),
+)
+def test_band_keys_match_the_broadcast_formula(
+    names, seed, bands, rows, ngram_size, chunk_size
+):
+    """Per-permutation minima give the broadcast formula's keys, bit for bit."""
+    store = _store(names)
+    rng = np.random.default_rng(seed)
+    params_a = rng.integers(0, 2**64, size=bands * rows,
+                            dtype=np.uint64) | np.uint64(1)
+    params_b = rng.integers(0, 2**64, size=bands * rows, dtype=np.uint64)
+    # uint64 wraparound on arrays raises no floating-point error.
+    with np.errstate(all="raise"):
+        keys, valid = _band_keys(store, "name", bands, rows, params_a,
+                                 params_b, {}, chunk_size, ngram_size)
+    expected_keys, expected_valid = _broadcast_band_keys(
+        store, "name", bands, rows, params_a, params_b, chunk_size, ngram_size
+    )
+    assert keys.dtype == np.uint64
+    assert keys.shape == (len(names), bands)
+    np.testing.assert_array_equal(valid, expected_valid)
+    np.testing.assert_array_equal(keys, expected_keys)
+
+
+def test_signature_memory_does_not_scale_with_permutations():
+    """The small rung's LSH pass peaks far below tokens x n_perm x 8 B.
+
+    The rung's settings (32 x 4 permutations over character trigrams)
+    on ``small`` in-memory stores: ~76k tokens per source, so one
+    (tokens, n_perm) uint64 matrix alone would need ~74 MiB.
+    """
+    sources = generate_scale_sources("small", seed=0)
+    for store in (sources.store_a, sources.store_b):
+        store.normalised_field("name")
+    tracemalloc.start()
+    try:
+        pairs = minhash_lsh_pairs(
+            sources.store_a, sources.store_b, "name",
+            bands=32, rows=4, seed=0, ngram_size=3,
+        )
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) > 0
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=25, deadline=None)

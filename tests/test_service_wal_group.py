@@ -13,12 +13,17 @@ consequences that matter:
   every flush and replays each copy);
 * the directory fsync really runs after the shard rename — the
   regression the PR-4 journal was missing.
+
+Framing a shard costs no copy of its payload on either side: the
+writer puts the header and the payload down separately (the bytes are
+still exactly ``frame_payload``'s), and unframing returns a view.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +32,12 @@ from hypothesis import strategies as st
 
 from repro.service.faults import FaultingWAL, FaultPlan
 from repro.service.session import EvaluationSession
-from repro.service.wal import GroupCommitWAL, SessionWAL
+from repro.service.wal import (
+    GroupCommitWAL,
+    SessionWAL,
+    frame_payload,
+    unframe_payload,
+)
 
 
 def wal_events(directory):
@@ -167,6 +177,28 @@ class TestDirectoryFsync:
         # entry) and the service root (new session directory entry).
         assert wal.directory in synced
         assert wal.directory.parent in synced
+
+
+def _traced_peak(fn):
+    """``fn()`` and the bytes tracemalloc saw allocated at its peak."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_framing_copies_no_payload(tmp_path):
+    """An 8 MiB shard is written and unframed without a payload copy."""
+    wal = SessionWAL(tmp_path / "s")
+    payload = np.random.default_rng(0).bytes(8 * 2**20)
+    path = wal.event_dir / "e00000001-checkpoint.bin"
+    __, write_peak = _traced_peak(lambda: wal._write_durable(path, payload))
+    data = path.read_bytes()
+    assert data == frame_payload(payload)
+    view, unframe_peak = _traced_peak(lambda: unframe_payload(data, path))
+    assert view == payload
+    assert write_peak < 2**20 and unframe_peak < 2**20
 
 
 EVENT_STRATEGY = st.one_of(
