@@ -51,7 +51,10 @@ def f_measure_from_counts(counts: ConfusionCounts, alpha: float = 0.5) -> float:
     estimate" regime of passive sampling (paper section 6.3.1).
     """
     check_in_range(alpha, 0.0, 1.0, "alpha")
-    den = alpha * counts.predicted_positives + (1.0 - alpha) * counts.actual_positives
+    # The Eqn 1 denominator regrouped as TP plus non-negative terms, so it
+    # rounds to at least TP and the ratio never exceeds 1 (the expanded
+    # form gives 3 / 2.9999999999999996 for TP = 3, alpha = 0.01).
+    den = counts.tp + alpha * counts.fp + (1.0 - alpha) * counts.fn
     if den <= 0:
         return float("nan")
     return counts.tp / den

@@ -67,6 +67,7 @@ from repro.service.errors import (
     CorruptStateError,
     DeadlineExceededError,
     OverloadError,
+    ReplyTooLargeError,
     ServiceError,
     SessionConflictError,
     SessionNotFoundError,
@@ -90,6 +91,7 @@ __all__ = [
     "OverloadError",
     "StorageFullError",
     "DeadlineExceededError",
+    "ReplyTooLargeError",
     "CorruptStateError",
     "SessionWAL",
     "GroupCommitWAL",

@@ -182,15 +182,16 @@ def _pack(obj, out: bytearray) -> None:
     elif isinstance(obj, np.ndarray):
         array = np.ascontiguousarray(obj)
         dtype = array.dtype.newbyteorder("<")
-        data = array.astype(dtype, copy=False).tobytes()
         dtype_str = dtype.str.encode("ascii")
         out += b"a"
         out += struct.pack(">I", len(dtype_str))
         out += dtype_str
         out += struct.pack(">I", array.ndim)
         out += struct.pack(f">{array.ndim}Q", *array.shape)
-        out += struct.pack(">Q", len(data))
-        out += data
+        out += struct.pack(">Q", array.nbytes)
+        # Appended through a byte view: the array is not copied first.
+        out += memoryview(
+            array.astype(dtype, copy=False).reshape(-1).view(np.uint8))
     elif isinstance(obj, dict):
         if "__ndarray__" in obj:
             # A tree that already went through encode_state(): unwrap
@@ -303,17 +304,21 @@ def _unpack(reader: _Reader):
     raise ValueError(f"unknown binary state tag {tag!r}")
 
 
-def dump_state_binary(obj) -> bytes:
-    """Serialise live state (or an already-encoded tree) to bytes.
+def dump_state_binary(obj) -> bytearray:
+    """Serialise live state (or an already-encoded tree) to a bytearray.
 
     Accepts exactly what :func:`encode_state` accepts, plus trees that
     already carry the codec's tagged objects — both serialise to the
     identical compact form, so WAL writers can hand over either raw
-    payloads or pre-encoded events.
+    payloads or pre-encoded events.  The buffer the record was built in
+    is returned as it is, not copied to ``bytes``: it compares equal to
+    the same bytes, slices, and is read by every bytes-like consumer
+    (:func:`load_state_binary`, ``zlib.crc32``, file writes), but it
+    is mutable and unhashable.
     """
     out = bytearray(_BINARY_MAGIC)
     _pack(obj, out)
-    return bytes(out)
+    return out
 
 
 def load_state_binary(data: bytes):

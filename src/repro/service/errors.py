@@ -21,6 +21,7 @@ __all__ = [
     "OverloadError",
     "StorageFullError",
     "DeadlineExceededError",
+    "ReplyTooLargeError",
     "CorruptStateError",
     "VOLUME_FULL_ERRNOS",
 ]
@@ -106,3 +107,17 @@ class DeadlineExceededError(ServiceError):
     """
 
     status = 504
+
+
+class ReplyTooLargeError(ServiceError):
+    """A reply would pass the RPC frame cap, so it is not sent.
+
+    Raised while a reply is encoded
+    (:func:`repro.service.protocol.encode_reply`), on both tiers, once
+    its bytes pass :data:`repro.service.rpc.MAX_FRAME_BYTES`.  The HTTP
+    rendering is **507**: the request ran, but the server cannot hold
+    its answer.  Resending fails the same way, so clients do not retry
+    it, and the connection it would have crossed stays up.
+    """
+
+    status = 507

@@ -43,11 +43,16 @@ Raised                                    Status  Retry-After  Meaning
 ``StorageFullError``, ENOSPC/EDQUOT       503     5            shard turns read-only
 mutating op on a read-only shard          503     5            until the shard restarts
 ``DeadlineExceededError``                 504                  late: may have executed
+``ReplyTooLargeError``                    507                  reply over the frame cap
 anything else                             500                  ``"Type: message"``
 ========================================  ======  ===========  ========================
 
 Error bodies are ``{"error": message}``.  503 means *not executed*:
-resend after ``Retry-After``; 504 only under an idempotency key.  Every
+resend after ``Retry-After``; 504 only under an idempotency key.  507
+means the op ran but its reply would pass
+:data:`~repro.service.rpc.MAX_FRAME_BYTES` (256 MiB; a history at about
+10^7 draws): :func:`encode_reply` stops there on both tiers, so a
+resend fails alike and is not retried.  Every
 response carries ``X-Request-Id``: the request's own when well formed
 (letters, digits, ``._-``, at most 64 chars), else a fresh one; it rides
 the router→shard frames into the structured logs.
@@ -56,12 +61,17 @@ the router→shard frames into the structured logs.
 from __future__ import annotations
 
 import json
+import mmap
 import re
 from urllib.parse import urlsplit
 
+import numpy as np
+
+from repro.service import rpc
 from repro.service.errors import (
     VOLUME_FULL_ERRNOS,
     CorruptStateError,
+    ReplyTooLargeError,
     ServiceError,
     StorageFullError,
 )
@@ -74,6 +84,8 @@ __all__ = [
     "execute",
     "storage_full",
     "error_reply",
+    "encode_reply",
+    "REPLY_CHUNK_ROWS",
 ]
 
 #: ``(method, path)`` → op; ``{id}`` stands for a session id.
@@ -177,7 +189,7 @@ def execute(manager, op: str, sid: str | None, body: bytes):
     if op == "estimate":
         return session.estimate_payload(), None
     if op == "history":
-        return session.history_payload(), None
+        return session.history_fields(), None
     if op == "checkpoint":
         return {"session_id": sid, "seq": session.checkpoint()}, None
     if op == "propose":
@@ -216,3 +228,86 @@ def error_reply(exc: BaseException) -> tuple[int, dict, float | None]:
     if isinstance(exc, KeyError):
         return 404, {"error": f"not found: {exc}"}, None
     return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+
+
+#: Rows of a NumPy reply value turned into Python numbers at a time, so
+#: encoding a reply holds one chunk of them, whatever the session's age.
+REPLY_CHUNK_ROWS = 8192
+
+#: The most bytes one row of a 1-D NumPy reply value takes, ``", "``
+#: included, by dtype kind: a float's repr has at most 24 characters
+#: (``-2.2250738585072014e-308``), an integer's at most 20.
+_ROW_BYTES = {"b": 7, "i": 22, "u": 22, "f": 26}
+
+
+def encode_reply(status: int, payload: dict, retry_after=None,
+                 head=lambda status, retry_after: b""):
+    """One reply as ``(status, body, retry_after)``.
+
+    ``body`` is one writable buffer: ``head(status, retry_after)`` (a
+    shard worker's frame prefix and header; nothing in-process), then
+    exactly the bytes of ``json.dumps(payload)`` with every NumPy value
+    a list.  Each 1-D NumPy value (bool, int or float: the history
+    trajectories) is written :data:`REPLY_CHUNK_ROWS` rows at a time,
+    NaN as ``null``, into anonymous pages sized by an upper bound of
+    the text: only the bytes written become resident and the buffer
+    never moves, so a reply's transient memory is about its body.
+
+    A reply that would take ``body`` past
+    :data:`repro.service.rpc.MAX_FRAME_BYTES` stops there and is
+    answered with :class:`ReplyTooLargeError`'s 507 instead.
+    """
+    try:
+        return status, _encode(head(status, retry_after), payload), retry_after
+    except ReplyTooLargeError as exc:
+        status, payload, retry_after = error_reply(exc)
+        return status, _encode(head(status, retry_after), payload), retry_after
+
+
+def _encode(head: bytes, payload: dict):
+    limit = rpc.MAX_FRAME_BYTES
+    if not any(isinstance(value, np.ndarray) for value in payload.values()):
+        out = bytearray(head)
+        out += json.dumps(payload).encode("ascii")
+        if len(out) > limit:
+            raise _too_large(len(out), limit)
+        return out
+    parts = [(json.dumps(key) + ": ",
+              value if isinstance(value, np.ndarray) else json.dumps(value))
+             for key, value in payload.items()]
+    bound = len(head) + 2 * len(parts) + sum(
+        len(key) + (_ROW_BYTES[value.dtype.kind] * len(value) + 2
+                    if isinstance(value, np.ndarray) else len(value))
+        for key, value in parts)
+    # Anonymous pages: only those written become resident, and the
+    # buffer never moves (so is never copied) as it fills.
+    out = mmap.mmap(-1, min(bound, limit))
+
+    def put(text) -> None:
+        data = text.encode("ascii") if isinstance(text, str) else text
+        if out.tell() + len(data) > limit:
+            raise _too_large(out.tell() + len(data), limit)
+        out.write(data)
+
+    put(head)
+    put("{")
+    for position, (key, value) in enumerate(parts):
+        put(", " + key if position else key)
+        if not isinstance(value, np.ndarray):
+            put(value)
+            continue
+        put("[")
+        for start in range(0, len(value), REPLY_CHUNK_ROWS):
+            chunk = value[start:start + REPLY_CHUNK_ROWS]
+            rows = chunk.tolist()
+            if chunk.dtype.kind == "f" and np.isnan(chunk).any():
+                rows = [None if row != row else row for row in rows]
+            put((", " if start else "") + json.dumps(rows)[1:-1])
+        put("]")
+    put("}")
+    return memoryview(out)[:out.tell()]
+
+
+def _too_large(size: int, limit: int) -> ReplyTooLargeError:
+    return ReplyTooLargeError(
+        f"reply of at least {size} bytes passes the {limit}-byte frame cap")

@@ -58,7 +58,12 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.manager import check_session_id
-from repro.service.protocol import error_reply, parse_body, route
+from repro.service.protocol import (
+    encode_reply,
+    error_reply,
+    parse_body,
+    route,
+)
 from repro.service.rpc import recv_frame, send_frame
 from repro.service.shard import (
     _commit_loop,
@@ -182,8 +187,7 @@ class _Waiter:
     def reply(self, request_id, status: int, payload: dict,
               retry_after: float | None = None) -> None:
         """A shard's reply, when the shard runs in this process."""
-        self.response = (int(status), json.dumps(payload).encode("utf-8"),
-                         retry_after)
+        self.response = encode_reply(int(status), payload, retry_after)
         self.event.set()
 
 
@@ -600,11 +604,11 @@ class ShardRouter:
 
     ``dispatch`` receives the already-read request (method, path, raw
     body bytes) from the HTTP front-end and returns
-    ``(status, body_bytes, extra_headers)``.  Requests route through
-    the :mod:`~repro.service.protocol` table; bodies pass through to
-    and from the owning shard untouched except for session creation,
-    where the router parses once to assign or check the id it routes
-    by.  ``supervisor`` is a :class:`ShardSupervisor` or a
+    ``(status, body, extra_headers)``, ``body`` bytes-like.  Requests
+    route through the :mod:`~repro.service.protocol` table; bodies pass
+    through to and from the owning shard untouched except for session
+    creation, where the router parses once to assign or check the id
+    it routes by.  ``supervisor`` is a :class:`ShardSupervisor` or a
     :class:`LocalShardPool`.
     """
 

@@ -19,10 +19,16 @@ Keeping the header JSON (rather than the binary codec) costs a few
 bytes and keeps frames greppable in a packet capture; bodies dominate
 the traffic either way.
 
-Frames are written with a single ``sendall`` so a writer killed
-mid-frame leaves at most one torn frame; readers treat a short read as
-a dead peer (:class:`ConnectionError`), which the router maps to
-backpressure while the supervisor restarts the worker.
+A shard worker encodes each reply body straight into its frame's
+buffer, after the prefix and header (:func:`frame_head`,
+:func:`repro.service.protocol.encode_reply`), so reply bodies are not
+copied into the frame.  Each frame is still written with a single
+``sendall`` (:func:`send_buffer`, :func:`send_frame`), so a writer
+killed mid-frame leaves at most one torn frame; readers treat a short
+read as a dead peer (:class:`ConnectionError`), which the router maps
+to backpressure while the supervisor restarts the worker.  No reply
+frame passes :data:`MAX_FRAME_BYTES`: a reply that would is answered
+with a 507 instead (:class:`~repro.service.errors.ReplyTooLargeError`).
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ import json
 import socket
 import struct
 
-__all__ = ["send_frame", "recv_frame", "MAX_FRAME_BYTES"]
+__all__ = ["frame_head", "send_buffer", "send_frame", "recv_frame",
+           "MAX_FRAME_BYTES"]
 
 _HEADER = struct.Struct(">II")
 
@@ -40,11 +47,24 @@ _HEADER = struct.Struct(">II")
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
+def frame_head(header: dict, body_len: int = 0) -> bytes:
+    """A frame's length prefix and ``header``, for a body of ``body_len``."""
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return _HEADER.pack(len(header_bytes), body_len) + header_bytes
+
+
+def send_buffer(sock: socket.socket, frame) -> None:
+    """Send a frame built in one writable buffer, :func:`frame_head` then
+    the body, in one ``sendall``; its body length is filled in here."""
+    header_len = _HEADER.unpack_from(frame)[0]
+    _HEADER.pack_into(frame, 0, header_len,
+                      len(frame) - _HEADER.size - header_len)
+    sock.sendall(frame)
+
+
 def send_frame(sock: socket.socket, header: dict, body: bytes = b"") -> None:
     """Serialise and send one frame (caller holds any write lock)."""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    sock.sendall(_HEADER.pack(len(header_bytes), len(body))
-                 + header_bytes + body)
+    sock.sendall(frame_head(header, len(body)) + body)
 
 
 def _read_exact(rfile, n: int) -> bytes:

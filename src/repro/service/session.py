@@ -724,18 +724,34 @@ class EvaluationSession:
         ``budget_history[i]`` the distinct labels consumed at that
         point — plotting one against the other is the paper's
         convergence curve.  NaN estimates (undefined early ratios)
-        serialise as ``None``.
+        serialise as ``None``.  The service serves
+        :meth:`history_fields` instead, which encodes to the same bytes.
+        """
+        payload = self.history_fields()
+        history = payload["history"].astype(object)
+        history[np.isnan(payload["history"])] = None
+        payload["history"] = history.tolist()
+        payload["budget_history"] = payload["budget_history"].tolist()
+        return payload
+
+    def history_fields(self) -> dict:
+        """:meth:`history_payload` with the sampler's trajectory views.
+
+        ``history`` and ``budget_history`` are the read-only arrays the
+        sampler returns (NaN where the estimate is undefined), not
+        lists: rows below the draw count are never rewritten, so they
+        stay a snapshot after the lock is released, and
+        :func:`~repro.service.protocol.encode_reply` writes them in
+        chunks.
         """
         with self._lock:
             sampler = self.sampler
-            history = sampler.history.astype(object)
-            history[np.isnan(sampler.history)] = None
             payload = {
                 "session_id": self.session_id,
                 "sampler": self.config["sampler"],
                 "measure": sampler.measure.name,
-                "history": history.tolist(),
-                "budget_history": sampler.budget_history.tolist(),
+                "history": sampler.history,
+                "budget_history": sampler.budget_history,
                 "labels_consumed": int(sampler.labels_consumed),
             }
             telemetry = self.telemetry()

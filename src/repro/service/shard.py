@@ -45,7 +45,6 @@ runs on a thread.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import signal
@@ -58,11 +57,12 @@ import traceback
 from repro.service.manager import SessionManager
 from repro.service.protocol import (
     MUTATING_OPS,
+    encode_reply,
     error_reply,
     execute,
     storage_full,
 )
-from repro.service.rpc import recv_frame, send_frame
+from repro.service.rpc import frame_head, recv_frame, send_buffer
 from repro.service.wal import GroupCommitWAL, WAL_CODECS
 from repro.utils import (
     MetricsRegistry,
@@ -114,13 +114,16 @@ class _Conn:
 
     def reply(self, request_id, status: int, payload: dict,
               retry_after: float | None = None) -> None:
-        header = {"id": request_id, "status": int(status)}
-        if retry_after is not None:
-            header["retry_after"] = retry_after
-        body = json.dumps(payload).encode("utf-8")
+        def head(status, retry_after):
+            header = {"id": request_id, "status": int(status)}
+            if retry_after is not None:
+                header["retry_after"] = retry_after
+            return frame_head(header)
+
+        _, frame, _ = encode_reply(status, payload, retry_after, head)
         try:
             with self.lock:
-                send_frame(self.sock, header, body)
+                send_buffer(self.sock, frame)
         except OSError:
             # The router vanished mid-reply.  The events behind this
             # response are already durable; the client recovers through

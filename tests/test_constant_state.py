@@ -16,7 +16,9 @@ delta checkpoints.
   pre-delta checkpoint, across empty deltas, and refuses a chain with
   a delta missing.  Ingested labels are journalled as they were
   applied, whatever the caller does with its array afterwards.
-* The router forwards shard replies byte for byte; per-session gauges
+* Both tiers serve a history as the bytes of ``json.dumps`` of
+  ``history_payload()``, streamed in chunks from the trajectory arrays;
+  the router forwards shard replies byte for byte; per-session gauges
   cover resident sessions only, also under concurrent scrapes.
 """
 
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import copy
 import json
+import mmap
 import shutil
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +43,7 @@ from test_service_faults import RecoveringClient, ShardedService, make_pool
 from test_service_observability import raw_request
 
 from repro.core import AISEstimator, OASISSampler
+from repro.experiments.specs import SAMPLER_KINDS
 from repro.measures import MEASURE_KINDS
 from repro.measures.ratio import LinearRatioMeasure
 from repro.oracle import DeterministicOracle
@@ -51,7 +56,11 @@ from repro.service.codec import (
     encode_state,
     load_state,
 )
+from repro.service.http import make_server
+from repro.service.protocol import REPLY_CHUNK_ROWS
+from repro.service.router import LocalShardPool, ShardRouter
 from repro.service.session import EvaluationSession
+from repro.service.shard import open_shard
 from repro.service.wal import GroupCommitWAL, SessionWAL, frame_payload
 from repro.utils import CorruptStateError
 from repro.utils.metrics import parse_prometheus_text
@@ -413,23 +422,67 @@ def test_pre_delta_checkpoint_followed_by_delta_checkpoints(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_router_forwards_history_bytes_as_received(tmp_path):
-    predictions, scores, labels = make_pool(seed=6, n=120)
-    reference = EvaluationSession.create(predictions, scores, seed=0,
-                                         session_id="h0")
-    drive(reference, labels, rounds=4, batch=7)
-    with ShardedService(tmp_path / "root", shards=2) as service:
-        client = RecoveringClient(service.port)
-        client.create("h0", predictions, scores, seed=0)
-        for _ in range(4):
-            client.run_round("h0", 7, labels)
-        status, body, headers = raw_request(
-            service.port, "GET", "/sessions/h0/history",
-            headers={"X-Request-Id": "feedfacefeedface"})
-        assert status == 200
-        assert body == json.dumps(reference.history_payload()).encode()
-        assert headers["X-Request-Id"] == "feedfacefeedface"
+def history_cases(labels):
+    """``session id -> (create fields, [(batch, labels), ...])``."""
+    chunk = REPLY_CHUNK_ROWS
+    return {
+        "h0": ({}, [(7, labels)] * 4),
+        "empty": ({}, []),
+        # Recall is 0/0 until a positive is labelled: null-led history.
+        "nan-led": ({"measure": "recall"},
+                    [(5, np.zeros_like(labels)), (7, labels)]),
+        "recall": ({"measure": "recall"}, [(7, labels)] * 4),
+        **{f"rows-{rows}": ({}, [(rows, labels)])
+           for rows in (chunk - 1, chunk, chunk + 1)},
+        f"rows-{2 * chunk + 1}": ({}, [(chunk, labels), (chunk + 1, labels)]),
+        **{kind: ({"sampler": kind}, [(7, labels)] * 4)
+           for kind in SAMPLER_KINDS},
+    }
 
+
+def test_router_forwards_history_bytes_as_received(tmp_path):
+    """Both tiers serve ``json.dumps(history_payload())`` byte for byte:
+    empty, null-led, around the encoder's chunk boundaries, for every
+    sampler kind and for recall; the router forwards the shard's bytes."""
+    predictions, scores, labels = make_pool(seed=6, n=120)
+    cases = history_cases(labels)
+    expected = {}
+    for sid, (fields, rounds) in cases.items():
+        reference = EvaluationSession.create(predictions, scores, seed=0,
+                                             session_id=sid, **fields)
+        for batch, truth in rounds:
+            proposal = reference.propose(batch)
+            reference.ingest(proposal["ticket"],
+                             [int(truth[i]) for i in proposal["pending"]])
+        expected[sid] = json.dumps(reference.history_payload()).encode()
+    assert expected["nan-led"].startswith(
+        b'{"session_id": "nan-led", "sampler": "oasis", "measure": '
+        b'"recall", "history": [null, ')
+    assert b'"history": [], "budget_history": []' in expected["empty"]
+
+    def serve_every_case(port):
+        client = RecoveringClient(port)
+        for sid, (fields, rounds) in cases.items():
+            client.create(sid, predictions, scores, seed=0, **fields)
+            for batch, truth in rounds:
+                client.run_round(sid, batch, truth)
+            status, body, headers = raw_request(
+                port, "GET", f"/sessions/{sid}/history",
+                headers={"X-Request-Id": "feedfacefeedface"})
+            assert status == 200
+            assert body == expected[sid], sid
+            assert headers["X-Request-Id"] == "feedfacefeedface"
+
+    server = make_server(SessionManager(tmp_path / "local"), port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        serve_every_case(server.server_address[1])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+    with ShardedService(tmp_path / "root", shards=2) as service:
+        serve_every_case(service.port)
         shard = service.router.ring.shard_for("h0")
         status, payload, _ = service.supervisor.clients[shard].request(
             "drain")
@@ -438,6 +491,42 @@ def test_router_forwards_history_bytes_as_received(tmp_path):
         status, _, headers = raw_request(service.port, "GET", "/sessions/h0")
         assert status == 503
         assert float(headers["Retry-After"]) > 0
+
+
+def test_history_reply_memory_grows_with_its_body_only():
+    """Producing the history reply holds about the body, not Python
+    numbers per draw: from 10^5 to 4*10^5 draws, the peak grows by at
+    most 1.2x the body's growth.  The body is encoded into anonymous
+    pages, which tracemalloc does not see, so they are added to the
+    traced peak."""
+    predictions, scores, labels = make_pool(seed=6, n=120)
+    state = open_shard(None)
+    router = ShardRouter(LocalShardPool(state))
+    try:
+        session = state.manager.create_session(
+            predictions, scores, seed=0, session_id="aged")
+        readings = []
+        for draws in (100_000, 400_000):
+            while len(session.sampler.history) < draws:
+                drive(session, labels, rounds=1, batch=min(
+                    8192, draws - len(session.sampler.history)))
+            tracemalloc.start()
+            try:
+                status, body, _ = router.dispatch(
+                    "GET", "/sessions/aged/history", b"")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert status == 200
+            in_pages = isinstance(getattr(body, "obj", None), mmap.mmap)
+            readings.append((peak + len(body) * in_pages, len(body)))
+            del body
+    finally:
+        router.close()
+    (small_peak, small_body), (large_peak, large_body) = readings
+    assert large_body > 3.5 * small_body
+    assert large_peak - small_peak <= 1.2 * (large_body - small_body), (
+        readings)
 
 
 def gauge_sessions(manager) -> dict:

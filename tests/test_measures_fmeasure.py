@@ -78,6 +78,13 @@ class TestFMeasure:
         with pytest.raises(ValueError, match="alpha"):
             f_measure([1], [1], alpha=1.5)
 
+    def test_perfect_match_is_exactly_one_at_any_alpha(self):
+        # alpha * 3 + (1 - alpha) * 3 rounds to 2.9999999999999996 at
+        # alpha = 0.01, so the expanded Eqn 1 denominator read F > 1.
+        counts = ConfusionCounts(3, 0, 0, 0)
+        assert f_measure_from_counts(counts, alpha=0.01) == 1.0
+        assert f_measure([1, 1, 1], [1, 1, 1], alpha=0.01) == 1.0
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 1), st.integers(0, 1)),

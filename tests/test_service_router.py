@@ -5,23 +5,39 @@ its two load-bearing properties are determinism (every process, every
 restart, same mapping) and stability (resizing moves few keys).  The
 topology file turns the shard count into part of the root's identity.
 A shard client's deadline starts when the request is issued, not when
-the client begins waiting for the reply.
+the client begins waiting for the reply.  A reply that would pass the
+RPC frame cap is a 507 on both tiers: the worker sends a well-formed
+error frame in its place, and the connection keeps serving.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socket
+import threading
 
+import numpy as np
 import pytest
 
+from test_service_faults import RecoveringClient, make_pool
+from test_service_observability import raw_request
+
+from repro.service import (
+    EvaluationClient,
+    ServiceRequestError,
+    SessionManager,
+    rpc,
+)
 from repro.service.errors import DeadlineExceededError
+from repro.service.http import make_server
 from repro.service.router import (
     HashRing,
     LocalShardClient,
     init_topology,
     load_topology,
 )
-from repro.service.shard import open_shard
+from repro.service.shard import _Conn, open_shard
 
 
 class TestHashRing:
@@ -95,3 +111,62 @@ class TestDeadline:
         with pytest.raises(DeadlineExceededError):
             client.request_raw("ping", timeout=1e-9)
         assert client.request_raw("ping")[0] == 200
+
+
+class TestOversizedReply:
+    """``rpc.MAX_FRAME_BYTES`` is patched down; a history passes it."""
+
+    CAP = 64 * 1024
+
+    def test_in_process_tier_answers_507_and_keeps_serving(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rpc, "MAX_FRAME_BYTES", self.CAP)
+        predictions, scores, labels = make_pool(seed=4, n=200)
+        server = make_server(SessionManager(tmp_path / "root"), port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = RecoveringClient(port)
+            client.create("big", predictions, scores, seed=0)
+            client.run_round("big", 4096, labels)
+            status, body, headers = raw_request(
+                port, "GET", "/sessions/big/history")
+            assert status == 507
+            error = json.loads(body)["error"]
+            size = re.fullmatch(
+                rf"reply of at least (\d+) bytes passes the {self.CAP}-byte "
+                "frame cap", error)
+            assert size and int(size[1]) > self.CAP
+            assert "Retry-After" not in headers
+            # Not retried: resending would fail the same way.
+            with pytest.raises(ServiceRequestError) as caught:
+                EvaluationClient(f"http://127.0.0.1:{port}").history("big")
+            assert (caught.value.status, caught.value.retries) == (507, 0)
+            status, body, _ = raw_request(port, "GET", "/sessions/big")
+            assert status == 200
+            assert json.loads(body)["labels_consumed"] > 0
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_worker_reply_over_the_cap_is_a_well_formed_error_frame(
+            self, monkeypatch):
+        monkeypatch.setattr(rpc, "MAX_FRAME_BYTES", self.CAP)
+        # _Conn sets TCP_NODELAY, so the pair is a loopback TCP one.
+        with socket.create_server(("127.0.0.1", 0)) as listener, \
+                socket.create_connection(listener.getsockname()) as peer:
+            sock, _ = listener.accept()
+            conn, rfile = _Conn(sock), peer.makefile("rb")
+            rows = np.arange(20_000.0)
+            # A plain payload, then one streamed from an array.
+            for frame_id, history in enumerate((rows.tolist(), rows), 1):
+                conn.reply(frame_id, 200, {"history": history})
+                header, body = rpc.recv_frame(rfile)
+                assert header == {"id": frame_id, "status": 507}
+                assert f"{self.CAP}-byte frame cap" in json.loads(body)["error"]
+            conn.reply(3, 200, {"ok": True}, retry_after=0.5)
+            assert rpc.recv_frame(rfile) == (
+                {"id": 3, "status": 200, "retry_after": 0.5}, b'{"ok": true}')
+            conn.rfile.close()
+            sock.close()

@@ -16,7 +16,9 @@ consequences that matter:
 
 Framing a shard costs no copy of its payload on either side: the
 writer puts the header and the payload down separately (the bytes are
-still exactly ``frame_payload``'s), and unframing returns a view.
+still exactly ``frame_payload``'s), and unframing returns a view.  A
+binary checkpoint is encoded with its arrays' bytes appended in place,
+so journalling one holds about one copy of its trajectory arrays.
 """
 
 from __future__ import annotations
@@ -199,6 +201,26 @@ def test_framing_copies_no_payload(tmp_path):
     view, unframe_peak = _traced_peak(lambda: unframe_payload(data, path))
     assert view == payload
     assert write_peak < 2**20 and unframe_peak < 2**20
+
+
+def test_binary_checkpoint_append_holds_one_copy_of_its_arrays(tmp_path):
+    rows = 1_000_000
+    rng = np.random.default_rng(0)
+    trajectory = {"start": 0, "history": rng.random(rows),
+                  "budget_history": np.arange(rows),
+                  "sampled_indices": rng.integers(0, 10**6, rows)}
+    array_bytes = 3 * 8 * rows
+    assert array_bytes >= 20 * 2**20
+    wal = SessionWAL(tmp_path / "s", codec="binary")
+    seq, peak = _traced_peak(lambda: wal.append("checkpoint", {
+        "ticket": 0, "state": {"format_version": 3},
+        "trajectory": trajectory, "pending": None}))
+    assert peak <= 1.25 * array_bytes, peak / array_bytes
+    [event] = wal_events(tmp_path / "s")
+    assert event["seq"] == seq
+    for name in ("history", "budget_history", "sampled_indices"):
+        np.testing.assert_array_equal(event["trajectory"][name],
+                                      trajectory[name])
 
 
 EVENT_STRATEGY = st.one_of(
